@@ -2,13 +2,12 @@
 //! per system and strategy (the simulated-time results are produced by
 //! the `repro` binary; these measure the host cost of the mechanism).
 //!
-//! The `scan=` benches compare the pre-change pipeline (naive per-granule
-//! sweep + rebuilt-Vec linear region lookup + per-page PTE inserts,
-//! preserved as `ScanMode::Naive`) against the tag-summary fast path
-//! (bitmap scan + indexed region lookup + batched walk) on a forking
-//! lineage whose pages carry at most a handful of capabilities — the
-//! sparse case the tentpole optimizes. Medians land in `BENCH_fork.json`
-//! at the repository root so future PRs have a perf trajectory.
+//! The `page_scan` benches compare the naive per-granule relocation
+//! sweep (`ScanMode::Naive`) against the tag-summary fast path on a page
+//! carrying a handful of capabilities — the sparse case the fast path
+//! optimizes — and the `lineage` bench times an eager-copy fork at the
+//! end of a forking lineage. Medians land in `BENCH_fork.json` at the
+//! repository root so future PRs have a perf trajectory.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -37,11 +36,10 @@ use ufork_workloads::storm::StormReport;
 /// so relocation lookups face a realistic population of retired regions.
 const LINEAGE: u32 = 12;
 
-fn forking_os(scan: ScanMode) -> (UforkOs, Pid) {
+fn forking_os() -> (UforkOs, Pid) {
     let cfg = UforkConfig {
         phys_mib: 128,
         strategy: CopyStrategy::Full,
-        scan,
         ..UforkConfig::default()
     };
     let mut os = UforkOs::new(cfg);
@@ -168,28 +166,18 @@ fn main() {
          ({full_on_ns} ns): the disabled path must be a single untaken branch"
     );
 
-    // The tentpole comparison: an eager-copy fork at the end of a forking
-    // lineage, naive pipeline vs. tag-summary fast path.
-    let mut lineage_ns = [0u64; 2];
-    for (i, (mode_name, mode)) in [
-        ("naive", ScanMode::Naive),
-        ("tagsummary", ScanMode::TagSummary),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let ns = bench_with_setup_ns(
-            &format!("fork/ufork/Full/lineage/{mode_name}"),
-            || forking_os(mode),
-            |(os, parent)| {
-                let mut ctx = Ctx::new();
-                os.fork(&mut ctx, *parent, Pid(parent.0 + 1)).unwrap();
-                black_box(ctx.kernel_ns)
-            },
-        );
-        results.push((format!("fork/ufork/Full/lineage/{mode_name}"), ns));
-        lineage_ns[i] = ns;
-    }
+    // An eager-copy fork at the end of a forking lineage: relocation
+    // lookups face a population of retired regions.
+    let ns = bench_with_setup_ns(
+        "fork/ufork/Full/lineage/tagsummary",
+        forking_os,
+        |(os, parent)| {
+            let mut ctx = Ctx::new();
+            os.fork(&mut ctx, *parent, Pid(parent.0 + 1)).unwrap();
+            black_box(ctx.kernel_ns)
+        },
+    );
+    results.push(("fork/ufork/Full/lineage/tagsummary".to_string(), ns));
 
     // Per-page scan at ≤4 tagged granules: the acceptance microbench.
     let naive_page = page_scan_bench("naive", ScanMode::Naive);
@@ -237,12 +225,7 @@ fn main() {
     results.push(("fork/baseline/nephele".to_string(), ns));
 
     let sparse_speedup = naive_page as f64 / fast_page.max(1) as f64;
-    let lineage_speedup = lineage_ns[0] as f64 / lineage_ns[1].max(1) as f64;
     println!("fork/page_scan/4caps speedup: {sparse_speedup:.2}x (naive {naive_page} ns -> tagsummary {fast_page} ns)");
-    println!(
-        "fork/ufork/Full/lineage speedup: {lineage_speedup:.2}x (naive {} ns -> tagsummary {} ns)",
-        lineage_ns[0], lineage_ns[1]
-    );
 
     let (admission, admission_overhead) = run_admission();
 
@@ -274,7 +257,6 @@ fn main() {
         &results,
         &Speedups {
             sparse: sparse_speedup,
-            lineage: lineage_speedup,
             trace: trace_overhead,
             admission: admission_overhead,
             scaling: scaling_speedup,
@@ -577,7 +559,6 @@ fn run_storm_family() -> Vec<(StormMode, StormReport, StormPipeline)> {
 /// The derived ratios reported in the JSON `speedup` section.
 struct Speedups {
     sparse: f64,
-    lineage: f64,
     trace: f64,
     admission: f64,
     scaling: f64,
@@ -859,9 +840,8 @@ fn write_json(
         .collect::<Vec<_>>()
         .join(",\n");
     let body = format!(
-        "{{\n  \"schema\": \"ufork-bench-fork/v9\",\n  \"unit\": \"ns/iter (best of samples, setup untimed); sim_* fields are simulated ns\",\n  \"results\": [\n{rows}\n  ],\n  \"fork_scaling\": [\n{scaling_rows}\n  ],\n  \"fork_pipeline\": [\n{frontier_rows}\n  ],\n  \"fork_phases\": [\n{phase_rows}\n  ],\n  \"fork_admission\": [\n{admission_rows}\n  ],\n  \"fork_storm\": [\n{storm_rows}\n  ],\n  \"fork_pressure\": [\n{pressure_rows}\n  ],\n  \"fork_snapshot_train\": [\n{snapshot_rows}\n  ],\n  \"fork_zygote\": [\n{zygote_rows}\n  ],\n  \"fork_ring\": [\n{ring_fork_rows}\n  ],\n  \"fork_ring_service\": [\n{ring_service_rows}\n  ],\n  \"speedup\": {{\n    \"page_scan_4caps_naive_over_tagsummary\": {sparse:.2},\n    \"fork_full_lineage_naive_over_tagsummary\": {lineage:.2},\n    \"fork_scaling_dense_serial_over_par8\": {scaling_speedup:.2},\n    \"fork_full_trace_on_over_off\": {trace:.2},\n    \"fork_full_admission_strict_over_disabled\": {admission_overhead:.4}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"ufork-bench-fork/v9\",\n  \"unit\": \"ns/iter (best of samples, setup untimed); sim_* fields are simulated ns\",\n  \"results\": [\n{rows}\n  ],\n  \"fork_scaling\": [\n{scaling_rows}\n  ],\n  \"fork_pipeline\": [\n{frontier_rows}\n  ],\n  \"fork_phases\": [\n{phase_rows}\n  ],\n  \"fork_admission\": [\n{admission_rows}\n  ],\n  \"fork_storm\": [\n{storm_rows}\n  ],\n  \"fork_pressure\": [\n{pressure_rows}\n  ],\n  \"fork_snapshot_train\": [\n{snapshot_rows}\n  ],\n  \"fork_zygote\": [\n{zygote_rows}\n  ],\n  \"fork_ring\": [\n{ring_fork_rows}\n  ],\n  \"fork_ring_service\": [\n{ring_service_rows}\n  ],\n  \"speedup\": {{\n    \"page_scan_4caps_naive_over_tagsummary\": {sparse:.2},\n    \"fork_scaling_dense_serial_over_par8\": {scaling_speedup:.2},\n    \"fork_full_trace_on_over_off\": {trace:.2},\n    \"fork_full_admission_strict_over_disabled\": {admission_overhead:.4}\n  }}\n}}\n",
         sparse = speedups.sparse,
-        lineage = speedups.lineage,
         scaling_speedup = speedups.scaling,
         trace = speedups.trace,
         admission_overhead = speedups.admission,

@@ -1,15 +1,13 @@
 //! Direct timing probe for the lineage fork (no setup subtraction).
 use std::time::Instant;
-use ufork::reloc::ScanMode;
 use ufork::{UforkConfig, UforkOs};
 use ufork_abi::{CopyStrategy, ImageSpec, Pid};
 use ufork_exec::{Ctx, MemOs};
 
-fn forking_os(scan: ScanMode) -> (UforkOs, Pid) {
+fn forking_os() -> (UforkOs, Pid) {
     let cfg = UforkConfig {
         phys_mib: 128,
         strategy: CopyStrategy::Full,
-        scan,
         ..UforkConfig::default()
     };
     let mut os = UforkOs::new(cfg);
@@ -29,7 +27,7 @@ fn main() {
     let mut fork_ns: Vec<u64> = Vec::new();
     for _ in 0..reps {
         let t0 = Instant::now();
-        let (mut os, parent) = forking_os(ScanMode::TagSummary);
+        let (mut os, parent) = forking_os();
         setup_ns += t0.elapsed().as_nanos();
         let mut ctx = Ctx::new();
         let t = Instant::now();

@@ -1,7 +1,7 @@
 //! Ablation studies of μFork's design choices (beyond the paper's own
 //! CoPA/CoA/full-copy comparison, which lives in the Figure 4/5 sweep).
 
-use ufork::{ScanMode, UforkConfig, UforkOs};
+use ufork::{UforkConfig, UforkOs};
 use ufork_abi::{CopyStrategy, ImageSpec, IsolationLevel};
 use ufork_exec::{Machine, MachineConfig};
 use ufork_workloads::hello::HelloWorld;
@@ -203,49 +203,6 @@ pub fn ablation_aslr() -> Vec<AblationRow> {
     rows
 }
 
-/// A5 — naive granule sweep vs tag-summary scan: the relocation engine
-/// either inspects all 256 granules of every copied page (the paper's
-/// sequential sweep) or reads the 4-word tag-occupancy bitmap first
-/// (`CLoadTags`) and visits only set bits. Mostly-untagged pages dominate
-/// real images, so the fast path skips almost every granule.
-pub fn ablation_naive_scan() -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-    for (label, scan) in [
-        ("naive granule sweep", ScanMode::Naive),
-        ("tag-summary scan (CLoadTags)", ScanMode::TagSummary),
-    ] {
-        let mut m = ufork_machine(UforkConfig {
-            phys_mib: 256,
-            strategy: CopyStrategy::Full,
-            scan,
-            ..UforkConfig::default()
-        });
-        let rcfg = RedisConfig::sized(100, 100_000); // 10 MB
-        let img = ImageSpec::with_heap("redis", rcfg.heap_bytes());
-        let pid = m
-            .spawn(&img, Box::new(RedisServer::new(rcfg)))
-            .expect("spawn");
-        m.run();
-        assert_eq!(m.exit_code(pid), Some(0));
-        let c = m.counters();
-        rows.push(AblationRow {
-            label: label.into(),
-            metrics: vec![
-                (
-                    "Redis 10MB fork".into(),
-                    m.fork_log()[0].latency_ns / 1e3,
-                    "µs",
-                ),
-                ("granules scanned".into(), c.granules_scanned as f64, ""),
-                ("granules skipped".into(), c.granules_skipped as f64, ""),
-                ("tag words loaded".into(), c.tag_words_loaded as f64, ""),
-                ("region lookups".into(), c.region_lookups as f64, ""),
-            ],
-        });
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,20 +232,6 @@ mod tests {
         // ...but takes more faults afterwards (the copies still happen,
         // just on demand).
         assert!(lazy.metrics[2].1 > eager.metrics[2].1);
-    }
-
-    #[test]
-    fn tag_summary_beats_naive_sweep() {
-        let rows = ablation_naive_scan();
-        let (naive, fast) = (&rows[0], &rows[1]);
-        // The fast path forks no slower in simulated time...
-        assert!(fast.metrics[0].1 <= naive.metrics[0].1);
-        // ...scans strictly fewer granules, and skips the rest via the
-        // tag-occupancy words the naive sweep never reads.
-        assert!(fast.metrics[1].1 < naive.metrics[1].1);
-        assert!(fast.metrics[2].1 > 0.0);
-        assert!(fast.metrics[3].1 > 0.0);
-        assert_eq!(naive.metrics[3].1, 0.0);
     }
 
     #[test]

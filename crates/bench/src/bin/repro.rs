@@ -19,12 +19,11 @@ use std::path::Path;
 
 use ufork_bench::report::{num, render_table, size_label};
 use ufork_bench::{
-    ablation_aslr, ablation_eager_vs_lazy, ablation_fork_vs_exec, ablation_isolation_sweep,
-    ablation_naive_scan, fig6, fig7, fig8, fig9, fork_frontier_sweep, fork_scaling_sweep,
-    pressure_storm, pressure_sweep, redis_sweep, ring_fork_sweep, ring_service_sweep,
-    snapshot_train_sweep, storm_sweep, table1, trace_chrome_json, trace_fork_runs,
-    trace_summary_text, zygote_fleet_sweep, AblationRow, RedisRow, PRESSURE_P99_LIMIT,
-    PRESSURE_SEED, STORM_CORES, STORM_SEED,
+    ablation_aslr, ablation_eager_vs_lazy, ablation_fork_vs_exec, ablation_isolation_sweep, fig6,
+    fig7, fig8, fig9, fork_frontier_sweep, fork_scaling_sweep, pressure_storm, pressure_sweep,
+    redis_sweep, ring_fork_sweep, ring_service_sweep, snapshot_train_sweep, storm_sweep, table1,
+    trace_chrome_json, trace_fork_runs, trace_summary_text, zygote_fleet_sweep, AblationRow,
+    RedisRow, PRESSURE_P99_LIMIT, PRESSURE_SEED, STORM_CORES, STORM_SEED,
 };
 
 fn print_ablation(title: &str, rows: &[AblationRow]) {
@@ -237,10 +236,6 @@ fn main() {
             &ablation_eager_vs_lazy(),
         );
         print_ablation("region ASLR (paper §3.7)", &ablation_aslr());
-        print_ablation(
-            "naive granule sweep vs tag-summary scan (CLoadTags)",
-            &ablation_naive_scan(),
-        );
     }
     if all || what == "scaling" {
         println!("== Fork scaling: parallel walk, simulated time ==");

@@ -1,36 +1,26 @@
-//! The μFork fork walk (paper §3.5).
+//! The μFork fork transaction (paper §3.5).
 //!
-//! 1. **Admission** — pre-flight the fork's frame demand against the
-//!    allocator's reservation ledger; under `FallbackPolicy::Degrade`
-//!    the kernel downgrades `Full → CoA → CoPA` until the demand fits
-//!    instead of failing.
-//! 2. **Parent state duplication** — reserve a contiguous child region,
-//!    copy the parent's PTEs so the child maps the same physical pages,
-//!    proactively copy + relocate the GOT and the in-use allocator
-//!    metadata, and arm the configured copy strategy on everything else.
+//! 1. **Plan and admission** — classify the parent's pages once into a
+//!    [`crate::plan::ForkPlan`], then pre-flight its frame demand against
+//!    the allocator's reservation ledger; under
+//!    `FallbackPolicy::Degrade` the kernel downgrades `Full → CoA → CoPA`
+//!    until the demand fits instead of failing.
+//! 2. **Parent state duplication** — reserve a contiguous child region
+//!    and run the plan: the child maps the parent's physical pages, the
+//!    GOT and the in-use allocator metadata are proactively copied and
+//!    relocated, and the configured copy strategy is armed on everything
+//!    else.
 //! 3. **Post-copy phase** — mint the child's root capability, relocate
 //!    the register file, and hand the child to the scheduler (done by
 //!    the executive).
 //!
-//! The walk is batched: the parent's mapped range is streamed directly
-//! off the page table (no intermediate `Vec` of its PTEs), the child's
-//! PTEs are staged in a sorted batch and inserted in one
-//! [`ufork_vmem::PageTable::extend_sorted`] sweep, and the parent's COW
-//! protection is applied in one [`ufork_vmem::PageTable::protect_many`]
-//! pass at the end. Under [`ScanMode::Naive`] the legacy walk (per-page
-//! inserts, per-capability linear region scans, full-page tag sweeps) is
-//! preserved as an ablation baseline.
-//!
-//! Every side effect either walk performs is recorded in the
-//! transactional [`crate::journal`]: a failure at any point — frame
-//! exhaustion, refcount overflow, injected journal abort — rolls the
-//! kernel back to its exact pre-fork state ([`UforkOs::rollback_fork`]).
-//! On memory exhaustion the kernel then runs a bounded
-//! reclaim-then-retry loop (drain the recycled pools' deferred-zero
-//! queues, charge a deterministic simulated backoff, re-attempt the
-//! fork) before surfacing `NoMem`.
-
-use std::cell::Cell;
+//! Every side effect is recorded in the transactional [`crate::journal`]:
+//! a failure at any point — frame exhaustion, refcount overflow, injected
+//! journal abort — rolls the kernel back to its exact pre-fork state
+//! ([`UforkOs::rollback_fork`]). On memory exhaustion the kernel then
+//! runs a bounded reclaim-then-retry loop (drain the recycled pools'
+//! deferred-zero queues, charge a deterministic simulated backoff,
+//! re-attempt the fork) before surfacing `NoMem`.
 
 use ufork_abi::{CopyStrategy, Errno, Pid, SysResult};
 use ufork_cheri::{Capability, Perms};
@@ -39,9 +29,9 @@ use ufork_mem::{content_hash, FrameDedupIndex, Pfn, PhysMem, PAGE_SIZE};
 use ufork_sim::CostModel;
 use ufork_vmem::{PageTable, Pte, PteFlags, Region, VirtAddr, Vpn};
 
-use crate::journal::{FallbackPolicy, ForkJournal, JournalOp};
+use crate::journal::{FallbackPolicy, JournalOp};
 use crate::kernel::{UProc, UforkOs};
-use crate::layout::Segment;
+use crate::plan::{ForkPlan, PageClass};
 use crate::reloc::{reloc_cost, relocate_frame, ScanMode};
 
 /// How much of the parent's address space a fork walks through the copy
@@ -108,10 +98,7 @@ impl UforkOs {
 
     /// Forks `parent` into `child`: one transactional attempt, plus a
     /// bounded reclaim-then-retry loop when an attempt rolls back on
-    /// memory exhaustion. Reclaim drains the recycled pools'
-    /// deferred-zero queues (the one reclaim the simulation models) and
-    /// charges a deterministic backoff, so the retry schedule is a pure
-    /// function of the failure sequence.
+    /// memory exhaustion.
     pub(crate) fn fork_uproc(
         &mut self,
         ctx: &mut Ctx,
@@ -119,9 +106,21 @@ impl UforkOs {
         child: Pid,
         scope: CopyScope,
     ) -> SysResult<()> {
+        self.retry_after_reclaim(ctx, |os, ctx| os.fork_attempt(ctx, parent, child, scope))
+    }
+
+    /// Runs `attempt` until it succeeds, fails fatally, or has been
+    /// retried [`MAX_FORK_RETRIES`] times after a reclaim pass. Shared by
+    /// fork and the pipelined background chunks; the retry schedule is a
+    /// pure function of the failure sequence.
+    pub(crate) fn retry_after_reclaim(
+        &mut self,
+        ctx: &mut Ctx,
+        mut attempt: impl FnMut(&mut UforkOs, &mut Ctx) -> Result<(), ForkFail>,
+    ) -> SysResult<()> {
         let mut retries = 0;
         loop {
-            match self.fork_attempt(ctx, parent, child, scope) {
+            match attempt(self, ctx) {
                 Ok(()) => return Ok(()),
                 Err(ForkFail::Fatal(e)) => return Err(e),
                 Err(ForkFail::Retryable(e)) => {
@@ -129,15 +128,22 @@ impl UforkOs {
                         return Err(e);
                     }
                     retries += 1;
-                    ctx.phase("fork/reclaim");
-                    let scrubbed = self.pm.reclaim_pass();
-                    let backoff = self.cost.reclaim_backoff + self.cost.zero_page * scrubbed as f64;
-                    ctx.kernel(backoff);
-                    ctx.counters.reclaim_inline += 1;
-                    ctx.counters.fork_backoff_ns += backoff as u64;
+                    self.reclaim_backoff(ctx, "fork/reclaim");
                 }
             }
         }
+    }
+
+    /// One inline reclaim pass under `phase`: drains the recycled pools'
+    /// deferred-zero queues (the one reclaim the simulation models) and
+    /// charges a deterministic backoff.
+    pub(crate) fn reclaim_backoff(&mut self, ctx: &mut Ctx, phase: &'static str) {
+        ctx.phase(phase);
+        let scrubbed = self.pm.reclaim_pass();
+        let backoff = self.cost.reclaim_backoff + self.cost.zero_page * scrubbed as f64;
+        ctx.kernel(backoff);
+        ctx.counters.reclaim_inline += 1;
+        ctx.counters.fork_backoff_ns += backoff as u64;
     }
 
     /// One transactional fork attempt. On `Err` the journal has been
@@ -171,10 +177,13 @@ impl UforkOs {
         let blocks_used = self.kread_u64(meta_header + 16).map_err(ForkFail::Fatal)?;
         let meta_used_bytes = 64 + blocks_used * crate::layout::BLOCK_DESC_BYTES;
 
+        // The one classification pass over the parent's pages.
+        let plan = self.plan_fork(p_region, &layout, meta_used_bytes, scope);
+
         // Admission control: pre-flight the frame demand and book the
         // reservation (possibly degrading the strategy) before any
         // side effect that would need unwinding.
-        let strategy = self.admit_fork(ctx, p_region, &layout, meta_used_bytes, scope)?;
+        let strategy = self.admit_fork(ctx, &plan)?;
 
         // Reserve the child's contiguous region.
         ctx.phase("fork/region");
@@ -197,16 +206,7 @@ impl UforkOs {
         let c_root = Capability::new_root(c_region.base.0, layout.region_len(), Perms::data());
         debug_assert!(!c_root.perms().contains(Perms::SYSTEM));
 
-        let deferred = match self.fork_walk_pages(
-            ctx,
-            p_region,
-            &layout,
-            c_region,
-            &c_root,
-            meta_used_bytes,
-            strategy,
-            scope,
-        ) {
+        let deferred = match self.run_plan(ctx, &plan, c_region, &c_root, strategy, scope) {
             Ok(deferred) => deferred,
             Err(e) => return Err(self.abort_fork(ctx, e)),
         };
@@ -216,7 +216,7 @@ impl UforkOs {
         // `DirtySince` against this one's snapshot. Runs after the
         // walk's protection sweep so the journaled pre-stamp state is
         // the post-arm state reverse-order rollback expects.
-        if let Err(e) = self.stamp_dirty_generation(ctx, parent, p_region, &layout) {
+        if let Err(e) = self.stamp_dirty_generation(ctx, parent, &plan) {
             return Err(self.abort_fork(ctx, e));
         }
 
@@ -224,45 +224,31 @@ impl UforkOs {
         // memory references contained in registers are relocated").
         ctx.phase("fork/regs");
         let mut c_regs = p_regs;
-        {
-            let naive_sources = (self.scan == ScanMode::Naive).then(|| self.source_regions());
-            let naive_lookups = Cell::new(0u64);
-            let source_of = |addr: u64| -> Option<Region> {
-                match &naive_sources {
-                    Some(sources) => {
-                        naive_lookups.set(naive_lookups.get() + 1);
-                        sources.iter().find(|r| r.contains(VirtAddr(addr))).copied()
-                    }
-                    None => self.region_index.lookup(addr),
+        for slot in c_regs.iter_mut() {
+            if let Some(cap) = slot {
+                if cap.confined_to(c_region.base.0, c_region.len) {
+                    continue;
                 }
-            };
-            for slot in c_regs.iter_mut() {
-                if let Some(cap) = slot {
-                    if cap.confined_to(c_region.base.0, c_region.len) {
-                        continue;
-                    }
-                    if let Some(src) = source_of(cap.base()) {
-                        let delta = c_region.base.0 as i64 - src.base.0 as i64;
-                        match cap.rebase(delta, &c_root) {
-                            Ok(new_cap) => {
-                                *slot = Some(new_cap);
-                                ctx.counters.caps_relocated += 1;
-                            }
-                            Err(_) => *slot = None,
+                if let Some(src) = self.region_index.lookup(cap.base()) {
+                    let delta = c_region.base.0 as i64 - src.base.0 as i64;
+                    match cap.rebase(delta, &c_root) {
+                        Ok(new_cap) => {
+                            *slot = Some(new_cap);
+                            ctx.counters.caps_relocated += 1;
                         }
-                    } else if cap.perms().contains(Perms::EXECUTE) {
-                        // PCC-style register: rebase code caps by region offset.
-                        let delta = c_region.base.0 as i64 - p_region.base.0 as i64;
-                        if let Some(addr) = cap.addr().checked_add_signed(delta) {
-                            let code_root =
-                                Capability::new_root(c_region.base.0, layout.text.1, Perms::code());
-                            *slot = code_root.with_addr(addr).ok();
-                        }
+                        Err(_) => *slot = None,
                     }
-                    ctx.kernel(self.cost.cap_relocate);
+                } else if cap.perms().contains(Perms::EXECUTE) {
+                    // PCC-style register: rebase code caps by region offset.
+                    let delta = c_region.base.0 as i64 - p_region.base.0 as i64;
+                    if let Some(addr) = cap.addr().checked_add_signed(delta) {
+                        let code_root =
+                            Capability::new_root(c_region.base.0, layout.text.1, Perms::code());
+                        *slot = code_root.with_addr(addr).ok();
+                    }
                 }
+                ctx.kernel(self.cost.cap_relocate);
             }
-            ctx.counters.region_lookups += naive_lookups.get();
         }
         ctx.counters.region_lookups += self.region_index.take_lookups();
 
@@ -451,22 +437,14 @@ impl UforkOs {
     /// the fork's frame demand, book it in the allocator's reservation
     /// ledger, and — under [`FallbackPolicy::Degrade`] — downgrade the
     /// strategy `Full → CoA → CoPA` until the demand fits.
-    fn admit_fork(
-        &mut self,
-        ctx: &mut Ctx,
-        p_region: Region,
-        layout: &crate::ProcLayout,
-        meta_used_bytes: u64,
-        scope: CopyScope,
-    ) -> Result<CopyStrategy, ForkFail> {
+    fn admit_fork(&mut self, ctx: &mut Ctx, plan: &ForkPlan) -> Result<CopyStrategy, ForkFail> {
         if self.fallback == FallbackPolicy::Disabled {
             return Ok(self.strategy);
         }
         ctx.phase("fork/admission");
         ctx.kernel(self.cost.admission_check);
         let requested = self.strategy;
-        let (private, eager, _) =
-            self.fork_page_demand(p_region, layout, meta_used_bytes, false, scope);
+        let (private, eager) = (plan.private, plan.eager);
         let demand = Self::immediate_demand(requested, private, eager);
         if self.pm.reserve(demand).is_ok() {
             if self
@@ -488,8 +466,7 @@ impl UforkOs {
         // faults on *any* child access (assume half the lazy pages copy
         // soon), CoPA only on writes and tagged loads — the tag-summary
         // bitmaps (PR 2) bound that by the capability-dense page count.
-        let (_, _, cap_dense) =
-            self.fork_page_demand(p_region, layout, meta_used_bytes, true, scope);
+        let cap_dense = plan.cap_dense(&self.pm);
         ctx.kernel(self.cost.tags_load * 4.0 * private as f64);
         let lazy = private - eager;
         let ladder = [
@@ -530,70 +507,20 @@ impl UforkOs {
         }
     }
 
-    /// One read-only pass over the parent's mapped range, classifying
-    /// pages the way the walk will. Returns `(private, eager,
-    /// cap_dense)`: non-shm mapped pages *inside the copy scope*, pages
-    /// copied eagerly under a lazy strategy, and — only when `density`
-    /// is requested, since it costs a tag-summary read per page — pages
-    /// holding at least one tagged granule. Clean pages under
-    /// [`CopyScope::DirtySince`] allocate nothing at fork time (their
-    /// child mappings share the parent frame), so they contribute
-    /// nothing to the demand.
-    fn fork_page_demand(
-        &self,
-        p_region: Region,
-        layout: &crate::ProcLayout,
-        meta_used_bytes: u64,
-        density: bool,
-        scope: CopyScope,
-    ) -> (u64, u64, u64) {
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let (mut private, mut eager, mut cap_dense) = (0u64, 0u64, 0u64);
-        for (vpn, pte) in self.pt.range(start, end) {
-            let off = vpn.base().0 - p_region.base.0;
-            let seg = layout.segment_of(off);
-            if seg == Segment::Shm || !scope.page_dirty(&pte) {
-                continue;
-            }
-            private += 1;
-            if self.eager_fork_copies
-                && match seg {
-                    Segment::Got => true,
-                    Segment::HeapMeta => off - layout.heap_meta.0 < meta_used_bytes,
-                    _ => false,
-                }
-            {
-                eager += 1;
-            }
-            if density {
-                if let Ok(frame) = self.pm.frame(pte.pfn) {
-                    if frame.cap_count() > 0 {
-                        cap_dense += 1;
-                    }
-                }
-            }
-        }
-        (private, eager, cap_dense)
-    }
-
     /// Stamps every non-shm parent PTE with the next fork generation:
     /// generation field overwritten, soft-dirty bit cleared (each dirty
     /// bit set since the last fork is cleared exactly once, here),
     /// writable pages (re-)armed CoW so the *first* post-fork write
     /// faults and sets the bit again. Skipped unless dirty tracking is
-    /// on; [`ScanMode::Naive`] keeps the legacy ablation walk untouched
-    /// by never stamping (so auto-scoping never picks `DirtySince`
-    /// there). Fully journaled: an abort mid-sweep restores every PTE's
+    /// on. Fully journaled: an abort mid-sweep restores every PTE's
     /// exact pre-stamp state and the parent's cursor.
     fn stamp_dirty_generation(
         &mut self,
         ctx: &mut Ctx,
         parent: Pid,
-        p_region: Region,
-        layout: &crate::ProcLayout,
+        plan: &ForkPlan,
     ) -> SysResult<()> {
-        if !self.track_dirty || self.scan == ScanMode::Naive {
+        if !self.track_dirty {
             return Ok(());
         }
         ctx.phase("fork/dirty_scan");
@@ -607,31 +534,21 @@ impl UforkOs {
             0 => 1,
             g => g,
         };
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
         let mut stamped: Vec<Vpn> = Vec::new();
-        {
-            let pt = &self.pt;
-            let journal = &mut self.journal;
-            for (vpn, pte) in pt.range(start, end) {
-                let off = vpn.base().0 - p_region.base.0;
-                if layout.segment_of(off) == Segment::Shm {
-                    // Shm frames are shared read-write by design; arming
-                    // them CoW would privatize a write. They are also
-                    // always shared by the walk, so they need no scope
-                    // classification.
-                    continue;
-                }
-                journal
-                    .record(JournalOp::DirtyStamp {
-                        vpn,
-                        old_gen: pte.gen,
-                        was_dirty: pte.flags.contains(PteFlags::DIRTY),
-                        had_cow: pte.flags.contains(PteFlags::COW),
-                    })
-                    .map_err(|_| Errno::NoMem)?;
-                stamped.push(vpn);
-            }
+        // Shm frames are shared read-write by design; arming them CoW
+        // would privatize a write. The walk only added COW to the other
+        // pages, so the journal reads their post-arm state back.
+        for page in plan.pages.iter().filter(|p| p.class != PageClass::Shm) {
+            let pte = self.pt.lookup(page.vpn).ok_or(Errno::Fault)?;
+            self.journal
+                .record(JournalOp::DirtyStamp {
+                    vpn: page.vpn,
+                    old_gen: pte.gen,
+                    was_dirty: pte.flags.contains(PteFlags::DIRTY),
+                    had_cow: pte.flags.contains(PteFlags::COW),
+                })
+                .map_err(|_| Errno::NoMem)?;
+            stamped.push(page.vpn);
         }
         self.journal
             .record(JournalOp::DirtyTrack {
@@ -647,464 +564,6 @@ impl UforkOs {
             p.dirty_tracked = true;
         }
         Ok(())
-    }
-
-    /// The per-page fork walk: maps (and, where the strategy requires,
-    /// copies and relocates) every parent page into the child region,
-    /// recording every side effect in the journal. On `Err` nothing has
-    /// been cleaned up yet — the caller rolls the journal back.
-    ///
-    /// Returns the pages whose copies were *deferred* behind the commit:
-    /// empty except under [`crate::fork_par::WalkMode::Pipelined`], where
-    /// every would-be-eager page is instead staged CoA-style on the
-    /// shared parent frame and handed to the background copy pipeline.
-    /// Under [`CopyScope::DirtySince`] the deferred list holds only
-    /// dirty pages, so the background window drains in O(dirty) too.
-    #[allow(clippy::too_many_arguments)] // the fork attempt's full context
-    fn fork_walk_pages(
-        &mut self,
-        ctx: &mut Ctx,
-        p_region: Region,
-        layout: &crate::ProcLayout,
-        c_region: Region,
-        c_root: &Capability,
-        meta_used_bytes: u64,
-        strategy: CopyStrategy,
-        scope: CopyScope,
-    ) -> SysResult<Vec<(Vpn, PteFlags)>> {
-        if self.scan == ScanMode::Naive {
-            // The legacy walk predates dirty tracking; it never stamps,
-            // so a `DirtySince` scope cannot legally reach it.
-            debug_assert_eq!(scope, CopyScope::Everything);
-            return self
-                .fork_walk_pages_naive(
-                    ctx,
-                    p_region,
-                    layout,
-                    c_region,
-                    c_root,
-                    meta_used_bytes,
-                    strategy,
-                )
-                .map(|()| Vec::new());
-        }
-        if let crate::fork_par::WalkMode::Parallel(n) = self.walk {
-            return self
-                .fork_walk_pages_parallel(
-                    ctx,
-                    p_region,
-                    layout,
-                    c_region,
-                    c_root,
-                    meta_used_bytes,
-                    strategy,
-                    n,
-                    scope,
-                )
-                .map(|()| Vec::new());
-        }
-        let pipelined = self.walk == crate::fork_par::WalkMode::Pipelined;
-
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let eager_cfg = self.eager_fork_copies;
-        let validates = self.isolation.validates_syscalls();
-        let dedup_on = self.dedup_frames;
-
-        // Staged child PTEs, produced in ascending page order by the
-        // parent-range stream; inserted in one batch on success only.
-        let mut child_batch: Vec<(Vpn, Pte)> = Vec::new();
-        // Parent pages to flip to COW in one protection sweep at the end.
-        let mut cow_arm: Vec<Vpn> = Vec::new();
-        // Pipelined only: pages staged on the shared frame whose copies
-        // run behind the commit, in walk (ascending-VPN) order.
-        let mut deferred: Vec<(Vpn, PteFlags)> = Vec::new();
-        let mut failed: Option<Errno> = None;
-
-        {
-            // Split borrows: the parent range is streamed off `pt` (shared)
-            // while frames are copied through `pm` (mutable) and effects
-            // land in `journal` (mutable); `pt` itself is only written
-            // after the stream ends.
-            let pm = &mut self.pm;
-            let pt = &self.pt;
-            let journal = &mut self.journal;
-            let cost = &self.cost;
-            let dedup = &mut self.dedup;
-            let region_index = &self.region_index;
-            let lookup = |addr: u64| region_index.lookup(addr);
-            let target = RelocTarget {
-                region: c_region,
-                root: c_root,
-                source_of: &lookup,
-                mode: ScanMode::TagSummary,
-            };
-
-            'walk: for (vpn, pte) in pt.range(start, end) {
-                ctx.phase("fork/walk/pte");
-                let off = vpn.base().0 - p_region.base.0;
-                let seg = layout.segment_of(off);
-                let c_vpn = VirtAddr(c_region.base.0 + off).vpn();
-                let final_flags = Self::seg_flags(seg);
-
-                if seg == Segment::Shm {
-                    // Shared mappings stay shared: same frames, full perms.
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    child_batch.push((c_vpn, Pte::new(pte.pfn, final_flags)));
-                    ctx.kernel(cost.pte_copy);
-                    continue;
-                }
-
-                if !scope.page_dirty(&pte) {
-                    // Clean since the parent's last stamp: share the
-                    // frame outright. No frame allocation, no tag scan —
-                    // a refcount bump and one staged PTE. The child maps
-                    // it CoPA-style (readable, writes and capability
-                    // loads fault: clean pages still hold the *parent's*
-                    // capabilities, so direct cap loads must stay
-                    // fenced), or fully inaccessible under CoA.
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    let f = if strategy == CopyStrategy::CoA {
-                        PteFlags::empty().with(PteFlags::COA)
-                    } else {
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        f
-                    };
-                    child_batch.push((c_vpn, Pte::new(pte.pfn, f)));
-                    ctx.kernel(cost.pte_copy);
-                    ctx.counters.pages_shared_clean += 1;
-                    if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                        cow_arm.push(vpn);
-                    }
-                    continue;
-                }
-                if scope != CopyScope::Everything {
-                    ctx.counters.pages_dirty_copied += 1;
-                }
-
-                let eager = strategy == CopyStrategy::Full
-                    || (eager_cfg
-                        && match seg {
-                            Segment::Got => true,
-                            Segment::HeapMeta => off - layout.heap_meta.0 < meta_used_bytes,
-                            _ => false,
-                        });
-
-                if eager && pipelined {
-                    // Stage, don't copy: the child maps the shared frame
-                    // fully inaccessible (CoA-style — any access faults
-                    // and jumps the copy queue), the parent is CoW-armed
-                    // below so its writes cannot perturb the fork-time
-                    // snapshot, and the actual copy + relocation runs as
-                    // a background chunk after the commit.
-                    ctx.phase("fork/pipeline/stage");
-                    if pm.inc_ref(pte.pfn).is_err() {
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                        failed = Some(Errno::NoMem);
-                        break 'walk;
-                    }
-                    child_batch.push((
-                        c_vpn,
-                        Pte::new(pte.pfn, PteFlags::empty().with(PteFlags::COA)),
-                    ));
-                    ctx.kernel(cost.pte_copy + cost.coa_pte_extra);
-                    deferred.push((c_vpn, final_flags));
-                    if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                        cow_arm.push(vpn);
-                    }
-                    continue;
-                }
-
-                if eager {
-                    // Cross-child dedup: before materializing a private
-                    // copy, probe the content index for an existing
-                    // identical frame a sibling already holds. Untagged
-                    // source frames only — relocation is a no-op on
-                    // them, so the copy's content equals the source's
-                    // and the hash key is exact.
-                    let probe = if dedup_on {
-                        ctx.phase("fork/dedup");
-                        dedup_probe(pm, pt, dedup, cost, ctx, pte.pfn)
-                    } else {
-                        DedupProbe::Skip
-                    };
-                    if let DedupProbe::Hit(shared) = probe {
-                        if pm.inc_ref(shared).is_err() {
-                            failed = Some(Errno::Fault);
-                            break 'walk;
-                        }
-                        if journal.record(JournalOp::RefInc(shared)).is_err() {
-                            failed = Some(Errno::NoMem);
-                            break 'walk;
-                        }
-                        // CoW-protected: the canonical content must stay
-                        // stable under every sharer's writes.
-                        child_batch
-                            .push((c_vpn, Pte::new(shared, final_flags.with(PteFlags::COW))));
-                        ctx.kernel(cost.pte_write);
-                        ctx.counters.frames_deduped += 1;
-                        continue;
-                    }
-                    let new = match copy_page_for_child(pm, journal, cost, ctx, pte.pfn, &target) {
-                        Ok(new) => new,
-                        Err(e) => {
-                            failed = Some(e);
-                            break 'walk;
-                        }
-                    };
-                    ctx.phase("fork/walk/pte");
-                    let mut flags = final_flags;
-                    if let DedupProbe::Miss(hash) = probe {
-                        // Register the fresh copy as the canonical frame
-                        // for this content, CoW-armed so it stays
-                        // byte-stable while indexed. No journal op: a
-                        // rolled-back fork leaves a stale entry that
-                        // self-invalidates on the next probe.
-                        dedup.insert(hash, new, c_vpn.0);
-                        flags = flags.with(PteFlags::COW);
-                    }
-                    child_batch.push((c_vpn, Pte::new(new, flags)));
-                    ctx.kernel(cost.pte_write);
-                    if validates {
-                        // Adversarial deployments re-verify every relocated
-                        // capability against the child's bounds before the
-                        // page becomes visible (the fork-latency component of
-                        // TOCTTOU/validation, ~2.6% in the paper).
-                        ctx.kernel(cost.page_scan() + cost.tocttou_fixed);
-                    }
-                    ctx.counters.pages_copied_eager += 1;
-                    continue;
-                }
-
-                // Lazy strategies: share the frame and arm faults.
-                if pm.inc_ref(pte.pfn).is_err() {
-                    failed = Some(Errno::Fault);
-                    break 'walk;
-                }
-                if journal.record(JournalOp::RefInc(pte.pfn)).is_err() {
-                    failed = Some(Errno::NoMem);
-                    break 'walk;
-                }
-                match strategy {
-                    CopyStrategy::Full => {
-                        debug_assert!(false, "full copy is always eager");
-                        failed = Some(Errno::Fault);
-                        break 'walk;
-                    }
-                    CopyStrategy::CoA => {
-                        // Fully inaccessible to the child: any access faults.
-                        child_batch.push((
-                            c_vpn,
-                            Pte::new(pte.pfn, PteFlags::empty().with(PteFlags::COA)),
-                        ));
-                        ctx.kernel(cost.pte_copy + cost.coa_pte_extra);
-                    }
-                    CopyStrategy::CoPA => {
-                        // Readable; writes and tagged loads fault.
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        child_batch.push((c_vpn, Pte::new(pte.pfn, f)));
-                        ctx.kernel(cost.pte_copy);
-                    }
-                }
-
-                // Writable parent pages become copy-on-write (armed in one
-                // sweep after the stream).
-                if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                    cow_arm.push(vpn);
-                }
-            }
-        }
-
-        if let Some(e) = failed {
-            // Every reference the batch took is journaled; the caller's
-            // rollback drops them. Nothing reached the page table.
-            ctx.counters.region_lookups += self.region_index.take_lookups();
-            return Err(e);
-        }
-
-        // Record-then-apply (see `crate::journal`): if recording aborts
-        // part-way, the rollback's unmap of never-inserted VPNs is a
-        // no-op.
-        for (vpn, _) in &child_batch {
-            self.journal
-                .record(JournalOp::PteMap(*vpn))
-                .map_err(|_| Errno::NoMem)?;
-        }
-        ctx.counters.ptes_written += self.pt.extend_sorted(child_batch);
-        ctx.phase("fork/walk/cow_arm");
-        for &vpn in &cow_arm {
-            self.journal
-                .record(JournalOp::CowArm(vpn))
-                .map_err(|_| Errno::NoMem)?;
-        }
-        let armed = self.pt.protect_many(cow_arm, PteFlags::COW);
-        ctx.kernel(self.cost.pte_protect * armed as f64);
-        ctx.counters.region_lookups += self.region_index.take_lookups();
-        Ok(deferred)
-    }
-
-    /// The pre-optimization walk, kept verbatim as the [`ScanMode::Naive`]
-    /// ablation baseline: collects the parent's PTEs into a `Vec`, inserts
-    /// child PTEs one `map` at a time, arms parent COW per page, and
-    /// resolves relocation sources by linear scan of a freshly-rebuilt
-    /// region list. Journaled like the batched walk, so rollback covers
-    /// its per-page inserts too.
-    #[allow(clippy::too_many_arguments)] // the fork attempt's full context
-    fn fork_walk_pages_naive(
-        &mut self,
-        ctx: &mut Ctx,
-        p_region: Region,
-        layout: &crate::ProcLayout,
-        c_region: Region,
-        c_root: &Capability,
-        meta_used_bytes: u64,
-        strategy: CopyStrategy,
-    ) -> SysResult<()> {
-        let sources = self.source_regions();
-        let naive_lookups = Cell::new(0u64);
-        let source_of = |addr: u64| -> Option<Region> {
-            naive_lookups.set(naive_lookups.get() + 1);
-            sources.iter().find(|r| r.contains(VirtAddr(addr))).copied()
-        };
-
-        let start = p_region.base.vpn();
-        let end = Vpn(p_region.top().0.div_ceil(PAGE_SIZE));
-        let mapped: Vec<(Vpn, Pte)> = self.pt.range(start, end).collect();
-
-        let result = (|| -> SysResult<()> {
-            for &(vpn, pte) in &mapped {
-                ctx.phase("fork/walk/pte");
-                let off = vpn.base().0 - p_region.base.0;
-                let seg = layout.segment_of(off);
-                let c_vpn = VirtAddr(c_region.base.0 + off).vpn();
-                let final_flags = Self::seg_flags(seg);
-
-                if seg == Segment::Shm {
-                    self.pm.inc_ref(pte.pfn).map_err(|_| Errno::Fault)?;
-                    self.journal
-                        .record(JournalOp::RefInc(pte.pfn))
-                        .map_err(|_| Errno::NoMem)?;
-                    self.pt.map(c_vpn, pte.pfn, final_flags);
-                    self.journal
-                        .record(JournalOp::PteMap(c_vpn))
-                        .map_err(|_| Errno::NoMem)?;
-                    ctx.kernel(self.cost.pte_copy);
-                    ctx.counters.ptes_written += 1;
-                    continue;
-                }
-
-                let eager = strategy == CopyStrategy::Full
-                    || (self.eager_fork_copies
-                        && match seg {
-                            Segment::Got => true,
-                            Segment::HeapMeta => off - layout.heap_meta.0 < meta_used_bytes,
-                            _ => false,
-                        });
-
-                if eager {
-                    let target = RelocTarget {
-                        region: c_region,
-                        root: c_root,
-                        source_of: &source_of,
-                        mode: ScanMode::Naive,
-                    };
-                    let new = copy_page_for_child(
-                        &mut self.pm,
-                        &mut self.journal,
-                        &self.cost,
-                        ctx,
-                        pte.pfn,
-                        &target,
-                    )?;
-                    ctx.phase("fork/walk/pte");
-                    self.pt.map(c_vpn, new, final_flags);
-                    self.journal
-                        .record(JournalOp::PteMap(c_vpn))
-                        .map_err(|_| Errno::NoMem)?;
-                    ctx.kernel(self.cost.pte_write);
-                    if self.isolation.validates_syscalls() {
-                        ctx.kernel(self.cost.page_scan() + self.cost.tocttou_fixed);
-                    }
-                    ctx.counters.ptes_written += 1;
-                    ctx.counters.pages_copied_eager += 1;
-                    continue;
-                }
-
-                self.pm.inc_ref(pte.pfn).map_err(|_| Errno::Fault)?;
-                self.journal
-                    .record(JournalOp::RefInc(pte.pfn))
-                    .map_err(|_| Errno::NoMem)?;
-                match strategy {
-                    CopyStrategy::Full => {
-                        debug_assert!(false, "full copy is always eager");
-                        return Err(Errno::Fault);
-                    }
-                    CopyStrategy::CoA => {
-                        self.pt
-                            .map(c_vpn, pte.pfn, PteFlags::empty().with(PteFlags::COA));
-                        ctx.kernel(self.cost.pte_copy + self.cost.coa_pte_extra);
-                    }
-                    CopyStrategy::CoPA => {
-                        let mut f = PteFlags::READ.with(PteFlags::LC_FAULT).with(PteFlags::COW);
-                        if final_flags.contains(PteFlags::EXEC) {
-                            f = f.with(PteFlags::EXEC);
-                        }
-                        if final_flags.contains(PteFlags::WRITE) {
-                            f = f.with(PteFlags::WRITE); // COW checked first
-                        }
-                        self.pt.map(c_vpn, pte.pfn, f);
-                        ctx.kernel(self.cost.pte_copy);
-                    }
-                }
-                self.journal
-                    .record(JournalOp::PteMap(c_vpn))
-                    .map_err(|_| Errno::NoMem)?;
-                ctx.counters.ptes_written += 1;
-
-                if final_flags.contains(PteFlags::WRITE) && !pte.flags.contains(PteFlags::COW) {
-                    ctx.phase("fork/walk/cow_arm");
-                    if let Some(ppte) = self.pt.lookup_mut(vpn) {
-                        ppte.flags = ppte.flags.with(PteFlags::COW);
-                    }
-                    self.journal
-                        .record(JournalOp::CowArm(vpn))
-                        .map_err(|_| Errno::NoMem)?;
-                    ctx.kernel(self.cost.pte_protect);
-                }
-            }
-            Ok(())
-        })();
-        ctx.counters.region_lookups += naive_lookups.get();
-        result
     }
 }
 
@@ -1167,15 +626,6 @@ pub(crate) fn dedup_probe(
     DedupProbe::Miss(hash)
 }
 
-/// Where an eager page copy lands and how its capabilities are fixed up:
-/// the child's region and root plus the scan strategy and region lookup.
-pub(crate) struct RelocTarget<'a> {
-    pub(crate) region: Region,
-    pub(crate) root: &'a Capability,
-    pub(crate) source_of: &'a dyn Fn(u64) -> Option<Region>,
-    pub(crate) mode: ScanMode,
-}
-
 /// Allocates one `ZeroPolicy::Zeroed` frame on the fork/fault hot path,
 /// charging the grant-time scrub of a recycled dirty frame to `ctx` —
 /// unless the background reclaim daemon already pre-zeroed it (a
@@ -1196,40 +646,28 @@ pub(crate) fn alloc_zeroed_charged(
     Ok(g.pfn)
 }
 
-/// Eagerly copies one frame for a child and relocates it. The allocated
-/// frame is journaled before the copy: on a copy failure the frame is
-/// *not* freed here — the caller's rollback owns that reference.
-pub(crate) fn copy_page_for_child(
-    pm: &mut PhysMem,
-    journal: &mut ForkJournal,
-    cost: &CostModel,
-    ctx: &mut Ctx,
-    src: Pfn,
-    target: &RelocTarget<'_>,
-) -> SysResult<Pfn> {
-    ctx.phase("fork/walk/copy");
-    let new = alloc_zeroed_charged(pm, cost, ctx).map_err(|_| Errno::NoMem)?;
-    journal
-        .record(JournalOp::FrameAlloc(new))
-        .map_err(|_| Errno::NoMem)?;
-    if pm.copy_frame(src, new).is_err() {
-        return Err(Errno::Fault);
+impl UforkOs {
+    /// Relocates the capabilities of a freshly copied (or adopted) frame
+    /// into `region` and charges the scan (paper §4.2); shared by the
+    /// inline fork executor, pipelined chunks and fault resolution.
+    pub(crate) fn relocate_charged(
+        &mut self,
+        ctx: &mut Ctx,
+        pfn: Pfn,
+        region: Region,
+        root: &Capability,
+    ) {
+        let index = &self.region_index;
+        let stats = relocate_frame(
+            &mut self.pm,
+            pfn,
+            region,
+            root,
+            &|addr| index.lookup(addr),
+            ScanMode::TagSummary,
+        );
+        ctx.counters.region_lookups += index.take_lookups();
+        ctx.kernel(reloc_cost(&self.cost, &stats));
+        stats.count(&mut ctx.counters);
     }
-    ctx.kernel(cost.page_alloc + cost.page_copy);
-    ctx.counters.pages_copied += 1;
-    ctx.phase("fork/walk/reloc");
-    let stats = relocate_frame(
-        pm,
-        new,
-        target.region,
-        target.root,
-        target.source_of,
-        target.mode,
-    );
-    ctx.kernel(reloc_cost(cost, &stats));
-    ctx.counters.granules_scanned += stats.granules_scanned;
-    ctx.counters.granules_skipped += stats.granules_skipped;
-    ctx.counters.tag_words_loaded += stats.tag_words_loaded;
-    ctx.counters.caps_relocated += stats.relocated + stats.cleared;
-    Ok(new)
 }

@@ -14,7 +14,6 @@ use crate::gate::SyscallGate;
 use crate::journal::{FallbackPolicy, ForkJournal};
 use crate::layout::{ProcLayout, Segment};
 use crate::region_index::RegionIndex;
-use crate::reloc::ScanMode;
 use crate::talloc::{TAlloc, UserMem};
 
 /// μFork kernel configuration.
@@ -37,17 +36,10 @@ pub struct UforkConfig {
     /// §3.5). Disable to ablate: under CoPA the pages are then copied
     /// lazily on the child's first capability load instead.
     pub eager_fork_copies: bool,
-    /// How the relocation scan discovers tagged granules: the
-    /// `CLoadTags`-style tag-summary fast path (default), or the naive
-    /// per-granule sweep kept as an ablation. The naive mode also uses the
-    /// legacy rebuild-and-linear-scan region lookup, so it reproduces the
-    /// pre-optimization host cost faithfully.
-    pub scan: ScanMode,
-    /// How the fork walk executes the eager copy/relocate sweep: the
-    /// single-lane serial walk (default, the ablation baseline) or the
-    /// multi-worker parallel engine with deterministic lane clocks.
-    /// `Parallel` requires the tag-summary scan; under `ScanMode::Naive`
-    /// it falls back to the serial legacy walk.
+    /// How the fork plan's eager pages are executed: inline on one lane
+    /// (`Serial`, default), on `n` worker lanes with deterministic lane
+    /// clocks (`Parallel(n)`), or deferred behind the commit
+    /// (`Pipelined`).
     pub walk: WalkMode,
     /// What fork admission control does when the requested copy
     /// strategy's frame demand cannot be reserved: fail up front
@@ -85,7 +77,6 @@ impl Default for UforkConfig {
             aslr_seed: None,
             uproc_area_len: UPROC_AREA_LEN,
             eager_fork_copies: true,
-            scan: ScanMode::default(),
             walk: WalkMode::default(),
             fallback: FallbackPolicy::default(),
             track_dirty: false,
@@ -138,7 +129,6 @@ pub struct UforkOs {
     pub(crate) strategy: CopyStrategy,
     pub(crate) eager_fork_copies: bool,
     pub(crate) isolation: IsolationLevel,
-    pub(crate) scan: ScanMode,
     pub(crate) walk: WalkMode,
     pub(crate) fallback: FallbackPolicy,
     pub(crate) track_dirty: bool,
@@ -183,7 +173,6 @@ impl UforkOs {
             strategy: cfg.strategy,
             eager_fork_copies: cfg.eager_fork_copies,
             isolation: cfg.isolation,
-            scan: cfg.scan,
             walk: cfg.walk,
             fallback: cfg.fallback,
             track_dirty: cfg.track_dirty,
@@ -428,18 +417,6 @@ impl UforkOs {
 
     pub(crate) fn proc(&self, pid: Pid) -> SysResult<&UProc> {
         self.procs.get(&pid).ok_or(Errno::Inval)
-    }
-
-    /// Legacy region lookup for relocation: rebuilds a `Vec` of live
-    /// μprocess regions, then retired regions (most recent first), for
-    /// linear scanning. Kept only for [`ScanMode::Naive`], which
-    /// reproduces the pre-optimization cost profile; the fast path uses
-    /// the incrementally-maintained [`RegionIndex`] instead. Both return
-    /// the same region for every address (regions are pairwise disjoint).
-    pub(crate) fn source_regions(&self) -> Vec<Region> {
-        let mut v: Vec<Region> = self.procs.values().map(|p| p.region).collect();
-        v.extend(self.retired.iter().rev().copied());
-        v
     }
 
     /// The allocator view over a μprocess heap.

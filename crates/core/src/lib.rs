@@ -50,6 +50,7 @@ mod journal;
 mod kernel;
 mod layout;
 mod pipeline;
+mod plan;
 mod reclaim;
 pub mod region_index;
 pub mod reloc;

@@ -49,11 +49,10 @@ use ufork_exec::Ctx;
 use ufork_sim::LaneClocks;
 use ufork_vmem::{PteFlags, Region, Vpn};
 
-use crate::fork::{dedup_probe, DedupProbe, MAX_FORK_RETRIES};
+use crate::fork::{dedup_probe, DedupProbe, ForkFail};
 use crate::fork_par::CHUNK_PAGES;
 use crate::journal::JournalOp;
 use crate::kernel::UforkOs;
-use crate::reloc::{reloc_cost, relocate_frame, ScanMode};
 
 /// One background-copy chunk: up to [`CHUNK_PAGES`] staged child pages
 /// in ascending-VPN order, flipped to their final frames atomically.
@@ -212,26 +211,7 @@ impl UforkOs {
         pid: Pid,
         idx: usize,
     ) -> SysResult<()> {
-        use crate::fork::ForkFail;
-        let mut retries = 0;
-        loop {
-            match self.pipeline_chunk_attempt(ctx, pid, idx) {
-                Ok(()) => return Ok(()),
-                Err(ForkFail::Fatal(e)) => return Err(e),
-                Err(ForkFail::Retryable(e)) => {
-                    if retries >= MAX_FORK_RETRIES {
-                        return Err(e);
-                    }
-                    retries += 1;
-                    ctx.phase("fork/reclaim");
-                    let scrubbed = self.pm.reclaim_pass();
-                    let backoff = self.cost.reclaim_backoff + self.cost.zero_page * scrubbed as f64;
-                    ctx.kernel(backoff);
-                    ctx.counters.reclaim_inline += 1;
-                    ctx.counters.fork_backoff_ns += backoff as u64;
-                }
-            }
-        }
+        self.retry_after_reclaim(ctx, |os, ctx| os.pipeline_chunk_attempt(ctx, pid, idx))
     }
 
     /// One transactional attempt at chunk `idx`: copy (or adopt) every
@@ -244,8 +224,7 @@ impl UforkOs {
         ctx: &mut Ctx,
         pid: Pid,
         idx: usize,
-    ) -> Result<(), crate::fork::ForkFail> {
-        use crate::fork::ForkFail;
+    ) -> Result<(), ForkFail> {
         debug_assert_eq!(
             self.journal.len(),
             0,
@@ -295,11 +274,8 @@ impl UforkOs {
                 DedupProbe::Skip
             };
             if let DedupProbe::Hit(shared) = probe {
-                if self.pm.inc_ref(shared).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::Fault));
-                }
-                if self.journal.record(JournalOp::RefInc(shared)).is_err() {
-                    return Err(self.abort_fork(ctx, Errno::NoMem));
+                if let Err(e) = self.share_frame(shared) {
+                    return Err(self.abort_fork(ctx, e));
                 }
                 ctx.phase("fork/pipeline/pte");
                 if self
@@ -354,21 +330,7 @@ impl UforkOs {
             };
 
             ctx.phase("fork/pipeline/reloc");
-            let (pm, index) = (&mut self.pm, &self.region_index);
-            let stats = relocate_frame(
-                pm,
-                pfn,
-                region,
-                &root,
-                &|addr| index.lookup(addr),
-                ScanMode::TagSummary,
-            );
-            ctx.counters.region_lookups += index.take_lookups();
-            ctx.kernel(reloc_cost(&self.cost, &stats));
-            ctx.counters.granules_scanned += stats.granules_scanned;
-            ctx.counters.granules_skipped += stats.granules_skipped;
-            ctx.counters.tag_words_loaded += stats.tag_words_loaded;
-            ctx.counters.caps_relocated += stats.relocated + stats.cleared;
+            self.relocate_charged(ctx, pfn, region, &root);
 
             ctx.phase("fork/pipeline/pte");
             // Record-then-apply: the inverse restores the staged CoA

@@ -21,12 +21,13 @@
 //!   per-granule sweeps.
 //!
 //! Both strategies produce byte- and tag-identical frames; they differ
-//! only in cost (simulated *and* host-side). The `naive` mode is kept as
-//! an ablation so the benchmark harness can show both cost curves.
+//! only in cost (simulated *and* host-side). The kernel's fork and fault
+//! paths use the tag summary; the `naive` mode is kept as the page-level
+//! reference the tests and the scan benches compare it against.
 
 use ufork_cheri::Capability;
 use ufork_mem::{Frame, Pfn, PhysMem, GRANULES_PER_PAGE, TAG_WORDS_PER_PAGE};
-use ufork_sim::CostModel;
+use ufork_sim::{CostModel, OpCounters};
 use ufork_vmem::Region;
 
 use crate::Segment;
@@ -59,6 +60,16 @@ pub struct RelocStats {
     pub cleared: u64,
 }
 
+impl RelocStats {
+    /// Adds these statistics to the operation counters.
+    pub(crate) fn count(&self, c: &mut OpCounters) {
+        c.granules_scanned += self.granules_scanned;
+        c.granules_skipped += self.granules_skipped;
+        c.tag_words_loaded += self.tag_words_loaded;
+        c.caps_relocated += self.relocated + self.cleared;
+    }
+}
+
 /// Relocates every out-of-region capability in `frame` into `child`.
 ///
 /// `source_of` maps an address to the region it belongs to (the parent's
@@ -81,7 +92,7 @@ pub fn relocate_frame(
 
 /// [`relocate_frame`] on a directly borrowed (or detached) [`Frame`].
 ///
-/// The parallel fork walk detaches destination frames from `PhysMem` and
+/// The lanes fork executor detaches destination frames from `PhysMem` and
 /// relocates them on worker threads, where no `&mut PhysMem` exists; this
 /// entry point is the common implementation both paths share.
 pub fn relocate_frame_in(
