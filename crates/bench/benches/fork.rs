@@ -685,162 +685,130 @@ fn write_json(
 ) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("BENCH_fork.json");
-    let rows = results
-        .iter()
-        .map(|(name, ns)| format!("    {{\"name\": \"{name}\", \"best_ns\": {ns}}}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let scaling_rows = scaling
-        .iter()
-        .map(|r| {
+    let mut body = String::from(
+        "{\n  \"schema\": \"ufork-bench-fork/v9\",\n  \"unit\": \"ns/iter (best of samples, setup untimed); sim_* fields are simulated ns\",\n",
+    );
+    json_array(&mut body, "results", results, |(name, ns)| {
+        format!("\"name\": \"{name}\", \"best_ns\": {ns}")
+    });
+    json_array(&mut body, "fork_scaling", scaling, |r| {
+        format!(
+            "\"heap\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"sim_fork_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}, \"chunks\": {}, \"steals\": {}, \"recycled\": {}, \"zeroing_skipped\": {}",
+            r.heap,
+            r.mode_label(),
+            r.workers,
+            r.sim_fork_ns,
+            r.sim_copy_done_ns,
+            r.chunks,
+            r.steals,
+            r.recycled,
+            r.zeroing_skipped
+        )
+    });
+    json_array(&mut body, "fork_pipeline", frontier, |r| {
+        format!(
+            "\"heap\": \"{}\", \"mode\": \"{}\", \"sim_commit_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}",
+            r.heap, r.mode, r.commit_ns, r.copy_done_ns
+        )
+    });
+    json_array(
+        &mut body,
+        "fork_phases",
+        phases
+            .iter()
+            .flat_map(|r| r.buf.phases().iter().map(move |p| (&r.name, p))),
+        |(mode, p)| {
             format!(
-                "    {{\"heap\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"sim_fork_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}, \"chunks\": {}, \"steals\": {}, \"recycled\": {}, \"zeroing_skipped\": {}}}",
-                r.heap,
-                r.mode_label(),
-                r.workers,
-                r.sim_fork_ns,
-                r.sim_copy_done_ns,
-                r.chunks,
-                r.steals,
-                r.recycled,
-                r.zeroing_skipped
+                "\"mode\": \"{mode}\", \"phase\": \"{}\", \"sim_total_ns\": {:.1}, \"spans\": {}",
+                p.name, p.total_ns, p.count
             )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let frontier_rows = frontier
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"heap\": \"{}\", \"mode\": \"{}\", \"sim_commit_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}}}",
-                r.heap, r.mode, r.commit_ns, r.copy_done_ns
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let phase_rows = phases
-        .iter()
-        .flat_map(|r| {
-            r.buf.phases().iter().map(move |p| {
-                format!(
-                    "    {{\"mode\": \"{}\", \"phase\": \"{}\", \"sim_total_ns\": {:.1}, \"spans\": {}}}",
-                    r.name, p.name, p.total_ns, p.count
-                )
-            })
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let admission_rows = admission
-        .iter()
-        .map(|(policy, ns)| format!("    {{\"policy\": \"{policy}\", \"sim_fork_ns\": {ns:.1}}}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let storm_rows = storm
-        .iter()
-        .map(|(mode, r, p)| {
-            format!(
-                "    {{\"mode\": \"{}\", \"children\": {}, \"completed\": {}, \"peak_live\": {}, \"retries\": {}, \"sim_p50_ns\": {:.1}, \"sim_p99_ns\": {:.1}, \"sim_mean_ns\": {:.1}, \"sim_ns_per_fork\": {:.1}, \"forks_per_sim_sec\": {:.3}, \"sim_final_ns\": {:.1}, \"copy_windows\": {}, \"sim_copy_done_p50_ns\": {:.1}, \"sim_copy_done_p99_ns\": {:.1}, \"digest\": \"{:016x}\"}}",
-                mode.label,
-                r.children,
-                r.completed,
-                r.peak_live,
-                r.retries,
-                r.p50_fork_ns,
-                r.p99_fork_ns,
-                r.mean_fork_ns,
-                r.sim_ns_per_fork,
-                r.forks_per_sim_sec,
-                r.final_ns,
-                p.windows,
-                p.p50_copy_done_ns,
-                p.p99_copy_done_ns,
-                r.digest
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let pressure_rows = pressure
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"occupancy\": \"{}\", \"daemon\": {}, \"children\": {}, \"sim_p50_ns\": {:.1}, \"sim_p99_ns\": {:.1}, \"sim_final_ns\": {:.1}, \"reclaim_background\": {}, \"frames_prezeroed\": {}, \"magazine_hits\": {}, \"reclaim_inline\": {}, \"oom_kills\": {}, \"digest\": \"{:016x}\"}}",
-                r.occupancy,
-                r.daemon,
-                r.children,
-                r.sim_p50_ns,
-                r.sim_p99_ns,
-                r.sim_final_ns,
-                r.reclaim_background,
-                r.frames_prezeroed,
-                r.magazine_hits,
-                r.reclaim_inline,
-                r.oom_kills,
-                r.digest
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let snapshot_rows = snapshot
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"system\": \"{}\", \"scope\": \"{}\", \"walk\": \"{}\", \"snapshot\": {}, \"sim_fork_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}, \"pages_dirty_copied\": {}, \"pages_shared_clean\": {}}}",
-                r.system,
-                r.scope,
-                r.walk,
-                r.snapshot,
-                r.sim_fork_ns,
-                r.sim_copy_done_ns,
-                r.pages_dirty_copied,
-                r.pages_shared_clean
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let zygote_rows = zygote
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"variant\": \"{}\", \"children\": {}, \"frames_one_child\": {}, \"frames_fleet\": {}, \"frames_deduped\": {}, \"dedup_hash_probes\": {}, \"pages_shared_clean\": {}}}",
-                r.variant,
-                r.children,
-                r.frames_one_child,
-                r.frames_fleet,
-                r.frames_deduped,
-                r.dedup_hash_probes,
-                r.pages_shared_clean
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let ring_fork_rows = ring_fork
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"mode\": \"{}\", \"setup\": \"{}\", \"endpoints\": {}, \"sim_fork_ns\": {:.1}, \"ring_caps_relocated\": {}}}",
-                r.mode, r.setup, r.endpoints, r.sim_fork_ns, r.ring_caps_relocated
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let ring_service_rows = ring_service
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"mode\": \"{}\", \"requests\": {}, \"sim_final_ns\": {:.1}, \"ring_msgs\": {}, \"ring_full_stalls\": {}, \"ring_caps_relocated\": {}, \"kv_digest\": \"{:016x}\"}}",
-                r.mode,
-                r.requests,
-                r.sim_final_ns,
-                r.ring_msgs,
-                r.ring_full_stalls,
-                r.ring_caps_relocated,
-                r.kv_digest
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let body = format!(
-        "{{\n  \"schema\": \"ufork-bench-fork/v9\",\n  \"unit\": \"ns/iter (best of samples, setup untimed); sim_* fields are simulated ns\",\n  \"results\": [\n{rows}\n  ],\n  \"fork_scaling\": [\n{scaling_rows}\n  ],\n  \"fork_pipeline\": [\n{frontier_rows}\n  ],\n  \"fork_phases\": [\n{phase_rows}\n  ],\n  \"fork_admission\": [\n{admission_rows}\n  ],\n  \"fork_storm\": [\n{storm_rows}\n  ],\n  \"fork_pressure\": [\n{pressure_rows}\n  ],\n  \"fork_snapshot_train\": [\n{snapshot_rows}\n  ],\n  \"fork_zygote\": [\n{zygote_rows}\n  ],\n  \"fork_ring\": [\n{ring_fork_rows}\n  ],\n  \"fork_ring_service\": [\n{ring_service_rows}\n  ],\n  \"speedup\": {{\n    \"page_scan_4caps_naive_over_tagsummary\": {sparse:.2},\n    \"fork_scaling_dense_serial_over_par8\": {scaling_speedup:.2},\n    \"fork_full_trace_on_over_off\": {trace:.2},\n    \"fork_full_admission_strict_over_disabled\": {admission_overhead:.4}\n  }}\n}}\n",
+        },
+    );
+    json_array(&mut body, "fork_admission", admission, |(policy, ns)| {
+        format!("\"policy\": \"{policy}\", \"sim_fork_ns\": {ns:.1}")
+    });
+    json_array(&mut body, "fork_storm", storm, |(mode, r, p)| {
+        format!(
+            "\"mode\": \"{}\", \"children\": {}, \"completed\": {}, \"peak_live\": {}, \"retries\": {}, \"sim_p50_ns\": {:.1}, \"sim_p99_ns\": {:.1}, \"sim_mean_ns\": {:.1}, \"sim_ns_per_fork\": {:.1}, \"forks_per_sim_sec\": {:.3}, \"sim_final_ns\": {:.1}, \"copy_windows\": {}, \"sim_copy_done_p50_ns\": {:.1}, \"sim_copy_done_p99_ns\": {:.1}, \"digest\": \"{:016x}\"",
+            mode.label,
+            r.children,
+            r.completed,
+            r.peak_live,
+            r.retries,
+            r.p50_fork_ns,
+            r.p99_fork_ns,
+            r.mean_fork_ns,
+            r.sim_ns_per_fork,
+            r.forks_per_sim_sec,
+            r.final_ns,
+            p.windows,
+            p.p50_copy_done_ns,
+            p.p99_copy_done_ns,
+            r.digest
+        )
+    });
+    json_array(&mut body, "fork_pressure", pressure, |r| {
+        format!(
+            "\"occupancy\": \"{}\", \"daemon\": {}, \"children\": {}, \"sim_p50_ns\": {:.1}, \"sim_p99_ns\": {:.1}, \"sim_final_ns\": {:.1}, \"reclaim_background\": {}, \"frames_prezeroed\": {}, \"magazine_hits\": {}, \"reclaim_inline\": {}, \"oom_kills\": {}, \"digest\": \"{:016x}\"",
+            r.occupancy,
+            r.daemon,
+            r.children,
+            r.sim_p50_ns,
+            r.sim_p99_ns,
+            r.sim_final_ns,
+            r.reclaim_background,
+            r.frames_prezeroed,
+            r.magazine_hits,
+            r.reclaim_inline,
+            r.oom_kills,
+            r.digest
+        )
+    });
+    json_array(&mut body, "fork_snapshot_train", snapshot, |r| {
+        format!(
+            "\"system\": \"{}\", \"scope\": \"{}\", \"walk\": \"{}\", \"snapshot\": {}, \"sim_fork_ns\": {:.1}, \"sim_copy_done_ns\": {:.1}, \"pages_dirty_copied\": {}, \"pages_shared_clean\": {}",
+            r.system,
+            r.scope,
+            r.walk,
+            r.snapshot,
+            r.sim_fork_ns,
+            r.sim_copy_done_ns,
+            r.pages_dirty_copied,
+            r.pages_shared_clean
+        )
+    });
+    json_array(&mut body, "fork_zygote", zygote, |r| {
+        format!(
+            "\"variant\": \"{}\", \"children\": {}, \"frames_one_child\": {}, \"frames_fleet\": {}, \"frames_deduped\": {}, \"dedup_hash_probes\": {}, \"pages_shared_clean\": {}",
+            r.variant,
+            r.children,
+            r.frames_one_child,
+            r.frames_fleet,
+            r.frames_deduped,
+            r.dedup_hash_probes,
+            r.pages_shared_clean
+        )
+    });
+    json_array(&mut body, "fork_ring", ring_fork, |r| {
+        format!(
+            "\"mode\": \"{}\", \"setup\": \"{}\", \"endpoints\": {}, \"sim_fork_ns\": {:.1}, \"ring_caps_relocated\": {}",
+            r.mode, r.setup, r.endpoints, r.sim_fork_ns, r.ring_caps_relocated
+        )
+    });
+    json_array(&mut body, "fork_ring_service", ring_service, |r| {
+        format!(
+            "\"mode\": \"{}\", \"requests\": {}, \"sim_final_ns\": {:.1}, \"ring_msgs\": {}, \"ring_full_stalls\": {}, \"ring_caps_relocated\": {}, \"kv_digest\": \"{:016x}\"",
+            r.mode,
+            r.requests,
+            r.sim_final_ns,
+            r.ring_msgs,
+            r.ring_full_stalls,
+            r.ring_caps_relocated,
+            r.kv_digest
+        )
+    });
+    body += &format!(
+        "  \"speedup\": {{\n    \"page_scan_4caps_naive_over_tagsummary\": {sparse:.2},\n    \"fork_scaling_dense_serial_over_par8\": {scaling_speedup:.2},\n    \"fork_full_trace_on_over_off\": {trace:.2},\n    \"fork_full_admission_strict_over_disabled\": {admission_overhead:.4}\n  }}\n}}\n",
         sparse = speedups.sparse,
         scaling_speedup = speedups.scaling,
         trace = speedups.trace,
@@ -850,4 +818,19 @@ fn write_json(
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
+}
+
+/// Appends the JSON array `name` to `body`: each item rendered by `fields`
+/// as an object on its own indented line.
+fn json_array<T>(
+    body: &mut String,
+    name: &str,
+    items: impl IntoIterator<Item = T>,
+    fields: impl Fn(T) -> String,
+) {
+    let rows: Vec<String> = items
+        .into_iter()
+        .map(|item| format!("    {{{}}}", fields(item)))
+        .collect();
+    *body += &format!("  \"{name}\": [\n{}\n  ],\n", rows.join(",\n"));
 }

@@ -6,7 +6,7 @@
 //! [`crate::SCALING_PAGES`] pages, Full-copy strategy) on a **fresh
 //! traced context**, so the trace's charge accumulator is bitwise equal
 //! to the fork's end-to-end simulated kernel time — asserted here on
-//! every run, and re-validated structurally by the CI trace-smoke job on
+//! every run, and re-validated structurally by the CI trace smoke entry on
 //! the exported JSON.
 
 use ufork::{UforkConfig, UforkOs, WalkMode};

@@ -10,7 +10,7 @@
 //! fresh context is therefore *bitwise* equal to the context's
 //! `kernel_ns`, and per-phase sums tile end-to-end time exactly up to
 //! floating-point re-association (validated at ~1e-9 relative by the CI
-//! trace-smoke job).
+//! trace smoke entry).
 //!
 //! Determinism contract: events carry simulated timestamps (and lane ids
 //! under the parallel walk) that are pure functions of the inputs — same

@@ -3,83 +3,28 @@
 
 Compares a freshly generated BENCH_fork.json against the committed one and
 fails (exit 1) if a metric present in *both* files regressed beyond its
-allowed fraction.
+allowed fraction, or if the fresh file breaks a cross-metric invariant.
 
-Three metric families are compared, with different thresholds:
+What is gated is declared once, in two tables below:
 
-* ``fork_scaling[]`` — *simulated* fork latencies, keyed by
-  ``(heap, mode)``. These are deterministic and machine-independent
-  (same seed + worker count => bit-identical ns on any host), so the
-  strict threshold (default 15%) applies: any drift is a real cost-model
-  or walk-code change.
-* ``fork_phases[]`` — per-phase *simulated* totals from the trace layer
-  (schema v3+), keyed by ``(mode, phase)``. Deterministic like
-  ``fork_scaling``, and strictly finer-grained: an end-to-end latency can
-  stay within its gate while one phase silently doubles at another's
-  expense, so each phase is gated at the strict threshold too.
-* ``fork_admission[]`` — *simulated* latency of an uncontended fork per
-  admission fallback policy (schema v4+), keyed by ``policy``.
-  Deterministic, gated at the strict threshold: the admission pre-flight
-  must stay a fixed per-fork charge, never grow with the fork's size.
-* ``fork_storm[]`` — the event-driven scheduler's fork storm (schema
-  v5+), keyed by ``(mode, children, metric)`` for the two bigger-is-worse
-  metrics ``sim_p99_ns`` (p99 fork latency under 10k live μprocesses) and
-  ``sim_ns_per_fork`` (storm makespan per fork). Deterministic, strict
-  threshold. ``children`` is part of the key because both metrics move
-  with the storm's scale: a reduced-N smoke run must not be compared
-  against the committed full-scale baseline.
-* ``fork_pressure[]`` — the churning storm across allocator occupancy ×
-  reclaim daemon (schema v9+), keyed by
-  ``(occupancy, daemon, children, metric)`` for ``sim_p50_ns`` and
-  ``sim_p99_ns``. Deterministic, strict threshold; ``children`` is part
-  of the key for the same reason as the overlap storm's. The
-  ``daemon=false`` rows are the inline-zeroing ablation baseline.
-* ``fork_pipeline[]`` — the pipelined-fork latency frontier (schema
-  v6+), keyed by ``(heap, mode, metric)`` for ``sim_commit_ns`` (latency
-  until the child runs) and ``sim_copy_done_ns`` (latency until its span
-  is fully copied). Deterministic, strict threshold.
-* ``fork_snapshot_train[]`` — the dirty-scope snapshot train (schema
-  v7+), keyed by ``(system, scope, walk, snapshot, metric)`` for
-  ``sim_fork_ns`` and ``sim_copy_done_ns``. Deterministic, strict
-  threshold.
-* ``fork_zygote[]`` — resident frames of the zygote fleet (schema v7+),
-  keyed by ``(variant, metric)`` for ``frames_fleet`` (bigger is worse).
-  Deterministic, strict threshold.
-* ``fork_ring[]`` — the ring fork probe (schema v8+), keyed by
-  ``(mode, setup)`` for ``sim_fork_ns``: one fork holding four pipes
-  (``setup=pipes``) or four live sealed ring endpoints
-  (``setup=rings``). Deterministic, strict threshold.
-* ``fork_ring_service[]`` — the multi-tier ring-fabric service (schema
-  v8+), keyed by ``(mode, requests)`` for ``sim_final_ns`` (simulated
-  makespan). ``requests`` is part of the key for the same reason as the
-  storm's ``children``: smoke scales must not gate against the
-  committed full-scale baseline.
-
-On top of the baseline comparison, two *cross-metric* invariants are
-checked inside the fresh file alone (schema v6+):
-
-* the pipelined fork's commit latency stays within 1.5x the CoPA fork on
-  every heap shape (``fork_pipeline``),
-* the pipelined storm's fork p99 beats the widest synchronous parallel
-  walk (``full_pipelined`` vs ``full_par8`` in ``fork_storm``),
-* every steady-state (snapshot >= 2) ``DirtySince`` fork in the snapshot
-  train completes its copy within 0.25x the matching
-  ``Everything``-scope fork, serial and pipelined
-  (``fork_snapshot_train``, schema v7+), and
-* with cross-child dedup or dirty tracking on, the warm zygote fleet's
-  resident frames stay within 1.2x a single child's
-  (``fork_zygote``, schema v7+), and
-* in every mode, a fork carrying live sealed ring endpoints stays
-  within 1.2x the pipe-only fork (``fork_ring``, schema v8+), and
-* with the background reclaim daemon on, the churning storm's fork p99
-  across the high pressure watermark stays within 1.25x the
-  low-occupancy p99 at the same scale (``fork_pressure``, schema v9+).
-* ``results[]`` — host wall-clock best-of-samples, keyed by ``name``.
-  These depend on the machine that produced them; the committed baseline
-  and a CI runner are different hardware, and even same-host runs swing
-  by double-digit percentages. The host threshold (default +200%) is a
-  catastrophic-regression backstop only — e.g. an accidental
+* ``FAMILIES`` maps each row family to the fields that key a row, the
+  bigger-is-worse metrics gated on it, and their unit. Every ``fork_*``
+  family is *simulated*: deterministic and machine-independent (same seed
+  => bit-identical numbers on any host), so the strict threshold (default
+  +15%) applies and any drift is a real cost-model or walk-code change.
+  Scale fields (``children``, ``requests``) are part of the key, so a
+  reduced-N smoke run is never compared against the committed full-scale
+  rows. A simulated baseline of 0 that becomes non-zero is a regression:
+  a phase that charged nothing must not start charging unnoticed.
+* The ``results`` entry holds host wall-clock best-of-samples. These
+  depend on the machine that produced them; the committed baseline and a
+  CI runner are different hardware, and even same-host runs swing by
+  double-digit percentages. The host threshold (default +200%) is a
+  catastrophic-regression backstop only, e.g. an accidental
   O(n) -> O(n^2), not micro-drift.
+* ``RATIOS`` lists the cross-metric invariants, checked inside the fresh
+  file alone: within each group of rows, numerator / denominator must
+  stay within the limit.
 
 Metrics present in only one file (added or retired benches) are reported
 but never fail the gate.
@@ -93,269 +38,139 @@ import argparse
 import json
 import sys
 
+# family -> (key fields, gated metrics, unit). ``results`` is the host entry.
+FAMILIES = {
+    "fork_scaling": (("heap", "mode"), ("sim_fork_ns",), "ns"),
+    "fork_phases": (("mode", "phase"), ("sim_total_ns",), "ns"),
+    "fork_admission": (("policy",), ("sim_fork_ns",), "ns"),
+    "fork_storm": (("mode", "children"), ("sim_p99_ns", "sim_ns_per_fork"), "ns"),
+    "fork_pressure": (
+        ("occupancy", "daemon", "children"),
+        ("sim_p50_ns", "sim_p99_ns"),
+        "ns",
+    ),
+    "fork_pipeline": (("heap", "mode"), ("sim_commit_ns", "sim_copy_done_ns"), "ns"),
+    "fork_snapshot_train": (
+        ("system", "scope", "walk", "snapshot"),
+        ("sim_fork_ns", "sim_copy_done_ns"),
+        "ns",
+    ),
+    "fork_zygote": (("variant",), ("frames_fleet",), "frames"),
+    "fork_ring": (("mode", "setup"), ("sim_fork_ns",), "ns"),
+    "fork_ring_service": (("mode", "requests"), ("sim_final_ns",), "ns"),
+    "results": (("name",), ("best_ns",), "ns"),
+}
+HOST = "results"
 
-def load(path):
-    with open(path) as f:
-        return json.load(f)
+# (family, what, group fields, numerator (match, metric), denominator
+# (match, metric), limit, strict, row filter). A group is skipped when it
+# lacks a denominator; a non-strict ratio also skips a denominator <= 0.
+RATIOS = [
+    # The pipelined fork commits within 1.5x the CoPA fork on every heap.
+    ("fork_pipeline", "pipelined commit vs CoPA", ("heap",),
+     ({"mode": "pipelined"}, "sim_commit_ns"), ({"mode": "copa"}, "sim_commit_ns"),
+     1.5, False, lambda r: True),
+    # The pipelined storm's fork p99 strictly beats the widest parallel walk.
+    ("fork_storm", "full_pipelined p99 vs full_par8", ("children",),
+     ({"mode": "full_pipelined"}, "sim_p99_ns"), ({"mode": "full_par8"}, "sim_p99_ns"),
+     1.0, True, lambda r: True),
+    # Every steady-state DirtySince fork finishes its copy within 0.25x the
+    # Everything-scope fork at 5% writes, serial and pipelined (the multi-AS
+    # baseline, walk "-", has no dirty scope).
+    ("fork_snapshot_train", "dirty copy-done vs everything", ("walk", "snapshot"),
+     ({"scope": "dirty"}, "sim_copy_done_ns"),
+     ({"scope": "everything"}, "sim_copy_done_ns"),
+     0.25, False, lambda r: r["walk"] != "-" and r["snapshot"] >= 2),
+    # With cross-child dedup or dirty tracking, the warm zygote fleet holds
+    # within 1.2x a single child's resident frames.
+    ("fork_zygote", "fleet frames vs one child", ("variant",),
+     ({}, "frames_fleet"), ({}, "frames_one_child"),
+     1.2, False, lambda r: r["variant"].startswith(("dedup/", "dirty/"))),
+    # With the reclaim daemon on, the churning storm's fork p99 across the
+    # high watermark stays within 1.25x the low-occupancy p99 at that scale.
+    ("fork_pressure", "high-watermark p99 vs low", ("children",),
+     ({"occupancy": "high", "daemon": True}, "sim_p99_ns"),
+     ({"occupancy": "low", "daemon": True}, "sim_p99_ns"),
+     1.25, False, lambda r: True),
+    # A fork carrying live sealed ring endpoints stays within 1.2x the
+    # pipe-only fork in every mode.
+    ("fork_ring", "ring fork vs pipe-only", ("mode",),
+     ({"setup": "rings"}, "sim_fork_ns"), ({"setup": "pipes"}, "sim_fork_ns"),
+     1.2, False, lambda r: True),
+]
 
 
-def results_map(doc):
-    # "best_ns" (min over samples) since schema v2; older files carried
-    # the noisier "median_ns".
+def text(v):
+    return str(v).lower() if isinstance(v, bool) else str(v)
+
+
+def metrics(doc, family):
+    keys, gated, _ = FAMILIES[family]
     return {
-        r["name"]: float(r.get("best_ns", r.get("median_ns")))
-        for r in doc.get("results", [])
+        tuple(text(r[k]) for k in keys) + (m,): float(r[m])
+        for r in doc.get(family, [])
+        for m in gated
     }
 
 
-def scaling_map(doc):
-    return {
-        (r["heap"], r["mode"]): float(r["sim_fork_ns"])
-        for r in doc.get("fork_scaling", [])
-    }
-
-
-def phase_map(doc):
-    # Absent before schema v3; compare() treats one-sided metrics as
-    # informational, so gating against an older baseline still works.
-    return {
-        (r["mode"], r["phase"]): float(r["sim_total_ns"])
-        for r in doc.get("fork_phases", [])
-    }
-
-
-def admission_map(doc):
-    # Absent before schema v4.
-    return {
-        r["policy"]: float(r["sim_fork_ns"])
-        for r in doc.get("fork_admission", [])
-    }
-
-
-def storm_map(doc):
-    # Absent before schema v5.
-    return {
-        (r["mode"], str(r["children"]), metric): float(r[metric])
-        for r in doc.get("fork_storm", [])
-        for metric in ("sim_p99_ns", "sim_ns_per_fork")
-    }
-
-
-def pressure_map(doc):
-    # Absent before schema v9. ``daemon`` is a JSON bool; str() it so the
-    # key renders in compare()'s "/".join.
-    return {
-        (r["occupancy"], str(r["daemon"]).lower(), str(r["children"]), metric): float(
-            r[metric]
-        )
-        for r in doc.get("fork_pressure", [])
-        for metric in ("sim_p50_ns", "sim_p99_ns")
-    }
-
-
-def pipeline_map(doc):
-    # Absent before schema v6.
-    return {
-        (r["heap"], r["mode"], metric): float(r[metric])
-        for r in doc.get("fork_pipeline", [])
-        for metric in ("sim_commit_ns", "sim_copy_done_ns")
-    }
-
-
-def snapshot_train_map(doc):
-    # Absent before schema v7.
-    return {
-        (r["system"], r["scope"], r["walk"], str(r["snapshot"]), metric): float(
-            r[metric]
-        )
-        for r in doc.get("fork_snapshot_train", [])
-        for metric in ("sim_fork_ns", "sim_copy_done_ns")
-    }
-
-
-def zygote_map(doc):
-    # Absent before schema v7. Frames, not nanoseconds, but the same
-    # bigger-is-worse comparison applies.
-    return {
-        (r["variant"], "frames_fleet"): float(r["frames_fleet"])
-        for r in doc.get("fork_zygote", [])
-    }
-
-
-def ring_map(doc):
-    # Absent before schema v8.
-    return {
-        (r["mode"], r["setup"]): float(r["sim_fork_ns"])
-        for r in doc.get("fork_ring", [])
-    }
-
-
-def ring_service_map(doc):
-    # Absent before schema v8.
-    return {
-        (r["mode"], str(r["requests"])): float(r["sim_final_ns"])
-        for r in doc.get("fork_ring_service", [])
-    }
-
-
-def cross_checks(doc):
-    """Intra-file invariants of the pipelined fork (schema v6+)."""
+def compare(family, old, new, limit):
+    """Returns the failure strings for one family."""
+    unit = FAMILIES[family][2]
     failures = []
-    frontier = doc.get("fork_pipeline", [])
-    by_mode = {}
-    for r in frontier:
-        by_mode[(r["heap"], r["mode"])] = float(r["sim_commit_ns"])
-    for (heap, mode), commit in sorted(by_mode.items()):
-        if mode != "pipelined":
+    for key in sorted(old.keys() | new.keys()):
+        label = f"{family} {'/'.join(key)}"
+        if key not in old or key not in new:
+            tag, side = ("new", new) if key in new else ("gone", old)
+            print(f"  [{tag}] {label}: {side[key]:.0f} {unit} (one side only)")
             continue
-        copa = by_mode.get((heap, "copa"))
-        if copa is None or copa <= 0:
-            continue
-        ratio = commit / copa
-        verdict = "ok" if ratio <= 1.5 else "FAIL"
-        print(
-            f"  [{verdict:>4}] cross fork_pipeline {heap}: pipelined commit "
-            f"{commit:.0f} ns vs copa {copa:.0f} ns ({ratio:.3f}x, limit 1.5x)"
-        )
-        if ratio > 1.5:
-            failures.append(
-                f"cross fork_pipeline {heap}: pipelined commit {commit:.0f} ns "
-                f"is {ratio:.3f}x CoPA ({copa:.0f} ns), limit 1.5x"
-            )
-    storm = {
-        (r["mode"], str(r["children"])): float(r["sim_p99_ns"])
-        for r in doc.get("fork_storm", [])
-    }
-    for (mode, children), p99 in sorted(storm.items()):
-        if mode != "full_pipelined":
-            continue
-        par8 = storm.get(("full_par8", children))
-        if par8 is None:
-            continue
-        verdict = "ok" if p99 < par8 else "FAIL"
-        print(
-            f"  [{verdict:>4}] cross fork_storm n={children}: pipelined p99 "
-            f"{p99:.0f} ns vs full_par8 {par8:.0f} ns"
-        )
-        if p99 >= par8:
-            failures.append(
-                f"cross fork_storm n={children}: pipelined fork p99 {p99:.0f} ns "
-                f"does not beat full_par8 ({par8:.0f} ns)"
-            )
-    train = {
-        (r["scope"], r["walk"], int(r["snapshot"])): float(r["sim_copy_done_ns"])
-        for r in doc.get("fork_snapshot_train", [])
-        if r["walk"] != "-"  # the multi-AS baseline has no dirty scope
-    }
-    for (scope, walk, snap), dirty_ns in sorted(train.items()):
-        if scope != "dirty" or snap < 2:
-            continue
-        every = train.get(("everything", walk, snap))
-        if every is None or every <= 0:
-            continue
-        ratio = dirty_ns / every
-        verdict = "ok" if ratio <= 0.25 else "FAIL"
-        print(
-            f"  [{verdict:>4}] cross fork_snapshot_train {walk}/{snap}: dirty "
-            f"copy-done {dirty_ns:.0f} ns vs everything {every:.0f} ns "
-            f"({ratio:.3f}x, limit 0.25x)"
-        )
-        if ratio > 0.25:
-            failures.append(
-                f"cross fork_snapshot_train {walk}/{snap}: DirtySince copy-done "
-                f"{dirty_ns:.0f} ns is {ratio:.3f}x the Everything fork "
-                f"({every:.0f} ns), limit 0.25x at 5% writes"
-            )
-    for r in doc.get("fork_zygote", []):
-        variant = r["variant"]
-        if not (variant.startswith("dedup/") or variant.startswith("dirty/")):
-            continue
-        one, fleet = float(r["frames_one_child"]), float(r["frames_fleet"])
-        if one <= 0:
-            continue
-        ratio = fleet / one
-        verdict = "ok" if ratio <= 1.2 else "FAIL"
-        print(
-            f"  [{verdict:>4}] cross fork_zygote {variant}: fleet {fleet:.0f} "
-            f"frames vs single child {one:.0f} ({ratio:.3f}x, limit 1.2x)"
-        )
-        if ratio > 1.2:
-            failures.append(
-                f"cross fork_zygote {variant}: fleet of {r['children']} holds "
-                f"{fleet:.0f} frames, {ratio:.3f}x a single child's {one:.0f}, "
-                f"limit 1.2x"
-            )
-    pressure = {
-        (r["occupancy"], bool(r["daemon"]), str(r["children"])): float(r["sim_p99_ns"])
-        for r in doc.get("fork_pressure", [])
-    }
-    for (occupancy, daemon, children), hi_p99 in sorted(pressure.items()):
-        if occupancy != "high" or not daemon:
-            continue
-        lo_p99 = pressure.get(("low", True, children))
-        if lo_p99 is None or lo_p99 <= 0:
-            continue
-        ratio = hi_p99 / lo_p99
-        verdict = "ok" if ratio <= 1.25 else "FAIL"
-        print(
-            f"  [{verdict:>4}] cross fork_pressure n={children}: high-watermark "
-            f"p99 {hi_p99:.0f} ns vs low {lo_p99:.0f} ns ({ratio:.3f}x, limit 1.25x)"
-        )
-        if ratio > 1.25:
-            failures.append(
-                f"cross fork_pressure n={children}: fork p99 across the high "
-                f"watermark {hi_p99:.0f} ns is {ratio:.3f}x the low-occupancy "
-                f"p99 ({lo_p99:.0f} ns) with the reclaim daemon on, limit 1.25x"
-            )
-    ring = {
-        (r["mode"], r["setup"]): float(r["sim_fork_ns"])
-        for r in doc.get("fork_ring", [])
-    }
-    for (mode, setup), rings_ns in sorted(ring.items()):
-        if setup != "rings":
-            continue
-        pipes_ns = ring.get((mode, "pipes"))
-        if pipes_ns is None or pipes_ns <= 0:
-            continue
-        ratio = rings_ns / pipes_ns
-        verdict = "ok" if ratio <= 1.2 else "FAIL"
-        print(
-            f"  [{verdict:>4}] cross fork_ring {mode}: ring fork {rings_ns:.0f} ns "
-            f"vs pipe-only {pipes_ns:.0f} ns ({ratio:.3f}x, limit 1.2x)"
-        )
-        if ratio > 1.2:
-            failures.append(
-                f"cross fork_ring {mode}: fork with live ring endpoints "
-                f"{rings_ns:.0f} ns is {ratio:.3f}x the pipe-only fork "
-                f"({pipes_ns:.0f} ns), limit 1.2x"
-            )
+        before, after = old[key], new[key]
+        if before > 0:
+            ratio = after / before
+        else:
+            ratio = float("inf") if after > 0 else 1.0
+        regressed = ratio > 1.0 + limit
+        change = f"{before:.0f} -> {after:.0f} {unit} ({(ratio - 1.0) * 100:+.1f}%)"
+        print(f"  [{'REGRESSED' if regressed else 'ok':>4}] {label}: {change}")
+        if regressed:
+            failures.append(f"{label}: {change}, limit +{limit * 100:.0f}%")
     return failures
 
 
-def compare(kind, old, new, max_regress):
-    """Returns the list of failure strings for one metric family."""
+def check_ratio(doc, family, what, group, num, den, limit, strict, where):
+    """Returns the failure strings for one cross-metric invariant."""
+    rows = [r for r in doc.get(family, []) if where(r)]
+
+    def side(match, metric):
+        return {
+            tuple(text(r[g]) for g in group): float(r[metric])
+            for r in rows
+            if all(r[k] == v for k, v in match.items())
+        }
+
+    dens = side(*den)
     failures = []
-    for key in sorted(old.keys() | new.keys(), key=str):
-        label = key if isinstance(key, str) else "/".join(key)
-        if key not in old:
-            print(f"  [new]  {kind} {label}: {new[key]:.0f} ns (no baseline)")
+    for g, n in sorted(side(*num).items()):
+        d = dens.get(g)
+        if d is None or (d <= 0 and not strict):
             continue
-        if key not in new:
-            print(f"  [gone] {kind} {label}: baseline {old[key]:.0f} ns")
-            continue
-        before, after = old[key], new[key]
-        ratio = after / before if before > 0 else 1.0
-        verdict = "ok"
-        if ratio > 1.0 + max_regress:
-            verdict = "REGRESSED"
-            failures.append(
-                f"{kind} {label}: {before:.0f} ns -> {after:.0f} ns "
-                f"(+{(ratio - 1.0) * 100:.1f}%, limit +{max_regress * 100:.0f}%)"
-            )
-        print(
-            f"  [{verdict:>4}] {kind} {label}: "
-            f"{before:.0f} -> {after:.0f} ns ({(ratio - 1.0) * 100:+.1f}%)"
-        )
+        ok = n < d if strict else n / d <= limit
+        rel = f"{n / d:.3f}x" if d > 0 else "inf"
+        bound = "must be < 1x" if strict else f"limit {limit}x"
+        line = f"cross {family} {'/'.join(g)}: {what} {n:.0f} / {d:.0f} = {rel} ({bound})"
+        print(f"  [{'ok' if ok else 'FAIL':>4}] {line}")
+        if not ok:
+            failures.append(line)
+    return failures
+
+
+def gate(old_doc, new_doc, max_regress, max_regress_host):
+    """Returns every failure string of the fresh file against the baseline."""
+    failures = []
+    for family in FAMILIES:
+        limit = max_regress_host if family == HOST else max_regress
+        failures += compare(family, metrics(old_doc, family), metrics(new_doc, family), limit)
+    for ratio in RATIOS:
+        failures += check_ratio(new_doc, *ratio)
     return failures
 
 
@@ -380,76 +195,9 @@ def main():
     )
     args = ap.parse_args()
 
-    old_doc, new_doc = load(args.committed), load(args.fresh)
-    failures = []
-    failures += compare(
-        "fork_scaling",
-        scaling_map(old_doc),
-        scaling_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_phases",
-        phase_map(old_doc),
-        phase_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_admission",
-        admission_map(old_doc),
-        admission_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_storm",
-        storm_map(old_doc),
-        storm_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_pressure",
-        pressure_map(old_doc),
-        pressure_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_pipeline",
-        pipeline_map(old_doc),
-        pipeline_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_snapshot_train",
-        snapshot_train_map(old_doc),
-        snapshot_train_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_zygote",
-        zygote_map(old_doc),
-        zygote_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_ring",
-        ring_map(old_doc),
-        ring_map(new_doc),
-        args.max_regress,
-    )
-    failures += compare(
-        "fork_ring_service",
-        ring_service_map(old_doc),
-        ring_service_map(new_doc),
-        args.max_regress,
-    )
-    failures += cross_checks(new_doc)
-    failures += compare(
-        "results",
-        results_map(old_doc),
-        results_map(new_doc),
-        args.max_regress_host,
-    )
-
+    with open(args.committed) as f_old, open(args.fresh) as f_new:
+        old_doc, new_doc = json.load(f_old), json.load(f_new)
+    failures = gate(old_doc, new_doc, args.max_regress, args.max_regress_host)
     if failures:
         print(f"\n{len(failures)} metric(s) regressed beyond the gate:")
         for f in failures:
