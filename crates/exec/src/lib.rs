@@ -33,7 +33,7 @@ pub use machine::{
     ExitEvent, ForkEvent, Machine, MachineConfig, OomEvent, PipelineEvent, MAIN_TID,
 };
 pub use memos::MemOs;
-pub use sched::{BlockedOn, SchedEngine, TimeKey, DEFAULT_PRIORITY};
+pub use sched::{BlockedOn, SchedEngine, TimeKey};
 pub use vfs::{
     ConnTemplate, FdKind, FdTable, PipeRead, RingMeta, RingSnapshot, Vfs, WakeEvent, PIPE_CAPACITY,
 };

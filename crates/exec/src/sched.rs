@@ -1,12 +1,13 @@
-//! Event-driven scheduler primitives: the priority run queue, integer
-//! time keys, per-core lane clocks, and explicit blocked states.
+//! Event-driven scheduler primitives: the run queue, integer time keys,
+//! per-core lane clocks, and explicit blocked states.
 //!
-//! The [`crate::Machine`] originally picked each step by linearly
-//! scanning *every* thread of *every* process for the minimum ready time
-//! — O(threads) per step, O(threads²) over a run, which falls over under
-//! a 10k-μprocess fork storm. This module provides the data structures
-//! for an O(log runnable) engine while keeping the schedule bit-identical
-//! to the linear scan (the differential suite in
+//! Each [`crate::Machine`] step picks the earliest of the next ready
+//! thread, the next copy-engine firing and the next reclaim pass. The
+//! lockstep reference finds that thread by linearly scanning *every*
+//! thread of *every* process — O(threads) per step, O(threads²) over a
+//! run, which falls over under a 10k-μprocess fork storm. This module
+//! provides the data structures for an O(log runnable) pick that keeps
+//! the schedule bit-identical to the scan (the differential suite in
 //! `tests/sched_differential.rs` holds both engines to the same event
 //! logs):
 //!
@@ -14,14 +15,15 @@
 //!   nanoseconds, so heap ordering can never be perturbed by
 //!   floating-point comparison subtleties over 10k-event timelines;
 //! * [`RunQueue`] — a lazy-deletion binary min-heap ordered by
-//!   `(time, priority, order)`, reproducing the scan's tie-break
-//!   (ascending pid, then tid) at equal timestamps and priorities;
+//!   `(time, order)`, reproducing the scan's tie-break (ascending pid,
+//!   then tid) at equal timestamps;
 //! * [`Cores`] — per-core simulated clocks backed by
 //!   [`ufork_sim::LaneClocks`], the same machinery the parallel fork
 //!   walkers use, so whole-machine time remains exactly replayable;
 //! * [`BlockedOn`] — why a parked thread is parked, which both documents
-//!   the wait graph and lets the machine index pipe/conn waiters for
-//!   O(woken) wakeups instead of rescanning every thread.
+//!   the wait graph and keys the machine's one waiter index over pipes,
+//!   rings and connections, for O(woken) wakeups instead of rescanning
+//!   every thread.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,15 +38,10 @@ pub enum SchedEngine {
     /// reference implementation for the differential suite; produces the
     /// exact schedule the event engine must reproduce.
     Lockstep,
-    /// Priority run queue with lazy deletion: O(log runnable) per step.
-    /// The default.
+    /// Run queue with lazy deletion: O(log runnable) per step. The
+    /// default.
     EventDriven,
 }
-
-/// Default thread priority. Lower values run first among threads ready
-/// at the same simulated instant; in a discrete-event machine priority
-/// can only break *ties* in time, never preempt earlier work.
-pub const DEFAULT_PRIORITY: u8 = 128;
 
 /// An integer ordering key over a simulated-time nanosecond value.
 ///
@@ -90,8 +87,9 @@ impl TimeKey {
 /// `BlockIndefinite` used to park a thread with nothing but its pending
 /// call; the wake path then had to rescan every thread against every
 /// event. Recording the wait explicitly lets the machine index waiters
-/// by pipe/connection id and wake exactly the affected threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// by channel (`Pipe`, `Ring` or `Conn` id) and wake exactly the
+/// affected threads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BlockedOn {
     /// Reading an empty pipe with writers still open, or writing a full
     /// one with readers still open.
@@ -115,16 +113,10 @@ pub enum BlockedOn {
     Fault,
 }
 
-/// Base bit for demoted run-queue orders: a thread that overran its time
-/// slice is requeued behind every normally-ordered thread ready at the
-/// same instant (round-robin at equal timestamps).
-const DEMOTED: u64 = 1 << 63;
-
 /// One run-queue entry. Ordering is lexicographic over the declared
-/// fields: ready time first, then priority, then `order` — which is
-/// `pid << 32 | tid` for normal entries, reproducing the lockstep scan's
-/// tie-break (the scan iterates pids then tids ascending and keeps the
-/// first minimum).
+/// fields: ready time first, then `order` = `pid << 32 | tid`,
+/// reproducing the lockstep scan's tie-break (the scan iterates pids
+/// then tids ascending and keeps the first minimum).
 ///
 /// Entries are never removed eagerly. A stale entry (its thread ran,
 /// blocked, moved, or died since the push) is detected on pop by
@@ -133,9 +125,7 @@ const DEMOTED: u64 = 1 << 63;
 pub(crate) struct QEntry {
     /// Integer-encoded ready time (primary key).
     pub time: TimeKey,
-    /// Priority (secondary key; lower runs first).
-    pub prio: u8,
-    /// Tie-break order (`pid << 32 | tid`, or a demoted sequence).
+    /// Tie-break order (`pid << 32 | tid`).
     pub order: u64,
     /// Ready-generation of the thread when this entry was pushed.
     pub gen: u64,
@@ -146,11 +136,10 @@ pub(crate) struct QEntry {
 }
 
 impl QEntry {
-    /// A normally-ordered entry.
-    pub fn new(at: f64, prio: u8, pid: Pid, tid: u32, gen: u64) -> QEntry {
+    /// The entry for thread `tid` of `pid`, ready at `at`.
+    pub fn new(at: f64, pid: Pid, tid: u32, gen: u64) -> QEntry {
         QEntry {
             time: TimeKey::from_ns(at),
-            prio,
             order: (u64::from(pid.0) << 32) | u64::from(tid),
             gen,
             pid,
@@ -167,7 +156,6 @@ impl QEntry {
 pub(crate) struct RunQueue {
     heap: BinaryHeap<Reverse<QEntry>>,
     enabled: bool,
-    demote_seq: u64,
 }
 
 impl RunQueue {
@@ -176,7 +164,6 @@ impl RunQueue {
         RunQueue {
             heap: BinaryHeap::new(),
             enabled,
-            demote_seq: 0,
         }
     }
 
@@ -187,29 +174,15 @@ impl RunQueue {
         }
     }
 
-    /// Builds a slice-overrun entry: same ready time, but ordered after
-    /// every normal entry at that time.
-    pub fn demoted(&mut self, at: f64, prio: u8, pid: Pid, tid: u32, gen: u64) -> QEntry {
-        self.demote_seq += 1;
-        QEntry {
-            time: TimeKey::from_ns(at),
-            prio,
-            order: DEMOTED | self.demote_seq,
-            gen,
-            pid,
-            tid,
-        }
+    /// The minimum entry (which may be stale — the caller validates
+    /// against the thread's current state and generation).
+    pub fn peek(&self) -> Option<&QEntry> {
+        self.heap.peek().map(|r| &r.0)
     }
 
-    /// Pops the minimum entry (which may be stale — the caller validates
-    /// against the thread's current state and generation).
+    /// Removes the minimum entry.
     pub fn pop(&mut self) -> Option<QEntry> {
         self.heap.pop().map(|r| r.0)
-    }
-
-    /// Entries currently queued, stale ones included.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -313,36 +286,27 @@ mod tests {
     }
 
     #[test]
-    fn entries_order_by_time_then_prio_then_pid_tid() {
-        let early = QEntry::new(10.0, 128, Pid(9), 0, 1);
-        let late = QEntry::new(20.0, 0, Pid(1), 0, 1);
-        assert!(early < late, "time dominates priority");
+    fn entries_order_by_time_then_pid_tid() {
+        let early = QEntry::new(10.0, Pid(9), 0, 1);
+        let late = QEntry::new(20.0, Pid(1), 0, 1);
+        assert!(early < late, "time dominates pid");
 
-        let hi = QEntry::new(10.0, 10, Pid(9), 0, 1);
-        let lo = QEntry::new(10.0, 200, Pid(1), 0, 1);
-        assert!(hi < lo, "at equal time, lower prio value runs first");
-
-        let p1 = QEntry::new(10.0, 128, Pid(1), 3, 1);
-        let p2 = QEntry::new(10.0, 128, Pid(2), 0, 1);
-        assert!(p1 < p2, "at equal time+prio, ascending pid");
-        let t0 = QEntry::new(10.0, 128, Pid(1), 0, 1);
+        let p1 = QEntry::new(10.0, Pid(1), 3, 1);
+        let p2 = QEntry::new(10.0, Pid(2), 0, 1);
+        assert!(p1 < p2, "at equal time, ascending pid");
+        let t0 = QEntry::new(10.0, Pid(1), 0, 1);
         assert!(t0 < p1, "then ascending tid");
     }
 
     #[test]
-    fn run_queue_pops_in_key_order_and_demotes_slice_overruns() {
+    fn run_queue_pops_in_key_order() {
         let mut q = RunQueue::new(true);
-        q.push(QEntry::new(30.0, 128, Pid(1), 0, 1));
-        q.push(QEntry::new(10.0, 128, Pid(2), 0, 1));
-        let d = q.demoted(10.0, 128, Pid(1), 1, 1);
-        q.push(d);
-        q.push(QEntry::new(10.0, 128, Pid(7), 5, 1));
-        assert_eq!(q.len(), 4);
-        // t=10 normals first (pid asc), then the demoted one, then t=30.
+        q.push(QEntry::new(30.0, Pid(1), 0, 1));
+        q.push(QEntry::new(10.0, Pid(7), 5, 1));
+        q.push(QEntry::new(10.0, Pid(2), 0, 1));
+        assert_eq!(q.peek().unwrap().pid, Pid(2), "peek leaves the minimum");
         assert_eq!(q.pop().unwrap().pid, Pid(2));
         assert_eq!(q.pop().unwrap().pid, Pid(7));
-        let got = q.pop().unwrap();
-        assert_eq!((got.pid, got.tid), (Pid(1), 1));
         assert_eq!(q.pop().unwrap().time, TimeKey::from_ns(30.0));
         assert!(q.pop().is_none());
     }
@@ -350,8 +314,8 @@ mod tests {
     #[test]
     fn disabled_queue_ignores_pushes() {
         let mut q = RunQueue::new(false);
-        q.push(QEntry::new(1.0, 128, Pid(1), 0, 1));
-        assert_eq!(q.len(), 0);
+        q.push(QEntry::new(1.0, Pid(1), 0, 1));
+        assert!(q.peek().is_none());
         assert!(q.pop().is_none());
     }
 

@@ -308,6 +308,32 @@ impl Vfs {
         self.files.get(path).map(|n| n.data.len() as u64)
     }
 
+    // ---- descriptor ends ---------------------------------------------------
+
+    /// Counts one more descriptor on the pipe or ring end `kind` names
+    /// (open, or fd duplication on fork). Other kinds hold no end count.
+    pub fn add_end(&mut self, kind: &FdKind) {
+        match *kind {
+            FdKind::PipeRead(id) => self.pipe_add_end(id, false),
+            FdKind::PipeWrite(id) => self.pipe_add_end(id, true),
+            FdKind::RingProd(id) => self.ring_add_end(id, true),
+            FdKind::RingCons(id) => self.ring_add_end(id, false),
+            _ => {}
+        }
+    }
+
+    /// Drops the descriptor `kind` names (close, or process exit),
+    /// returning every wake event the close implies.
+    pub fn drop_end(&mut self, kind: &FdKind) -> Vec<WakeEvent> {
+        match *kind {
+            FdKind::PipeRead(id) => self.pipe_drop_end(id, false),
+            FdKind::PipeWrite(id) => self.pipe_drop_end(id, true),
+            FdKind::RingProd(id) => self.ring_drop_end(id, true),
+            FdKind::RingCons(id) => self.ring_drop_end(id, false),
+            _ => Vec::new(),
+        }
+    }
+
     // ---- pipes -----------------------------------------------------------
 
     /// Creates a pipe with the default [`PIPE_CAPACITY`], returning its
@@ -343,7 +369,7 @@ impl Vfs {
     }
 
     /// Adds a sharer to one end (fd duplication on fork).
-    pub fn pipe_add_end(&mut self, id: usize, write_end: bool) {
+    fn pipe_add_end(&mut self, id: usize, write_end: bool) {
         if let Ok(p) = self.pipe_mut(id) {
             if write_end {
                 p.write_ends += 1;
@@ -357,7 +383,7 @@ impl Vfs {
     /// last write end hangs up *all* blocked readers (EOF), and the last
     /// read end must wake all blocked writers so they fail with EPIPE.
     /// The pipe is freed when all ends are gone.
-    pub fn pipe_drop_end(&mut self, id: usize, write_end: bool) -> Vec<WakeEvent> {
+    fn pipe_drop_end(&mut self, id: usize, write_end: bool) -> Vec<WakeEvent> {
         let Ok(p) = self.pipe_mut(id) else {
             return Vec::new();
         };
@@ -499,7 +525,7 @@ impl Vfs {
     }
 
     /// Adds a sharer to one ring end (open, or fd duplication on fork).
-    pub fn ring_add_end(&mut self, id: usize, producer: bool) {
+    fn ring_add_end(&mut self, id: usize, producer: bool) {
         if let Some(r) = self.rings.get_mut(id) {
             if producer {
                 r.prod_ends += 1;
@@ -516,7 +542,7 @@ impl Vfs {
     /// and see EOF once drained), the last consumer end wakes all
     /// blocked producers (they fail with EPIPE). The registry entry
     /// persists — rings are named and can be reopened.
-    pub fn ring_drop_end(&mut self, id: usize, producer: bool) -> Vec<WakeEvent> {
+    fn ring_drop_end(&mut self, id: usize, producer: bool) -> Vec<WakeEvent> {
         let Some(r) = self.rings.get_mut(id) else {
             return Vec::new();
         };
