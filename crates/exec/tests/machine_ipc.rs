@@ -328,12 +328,14 @@ fn closing_last_write_end_wakes_every_blocked_reader() {
     }
 }
 
-/// Sleeps, then drains a large chunk so a blocked writer can proceed.
+/// Sleeps, then drains a large chunk so a blocked writer can proceed —
+/// with a blocking read, or with `sys_read_nonblock` when `nonblock`.
 #[derive(Clone)]
 struct DrainReader {
     rfd: Fd,
     phase: u8,
     read_at: Option<f64>,
+    nonblock: bool,
 }
 impl Program for DrainReader {
     fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
@@ -341,6 +343,16 @@ impl Program for DrainReader {
             0 => {
                 self.phase = 1;
                 StepOutcome::Block(BlockingCall::Sleep { ns: 2e6 })
+            }
+            1 if self.nonblock => {
+                let buf = env.reg(0).unwrap();
+                match env.sys_read_nonblock(self.rfd, &buf, 48_000) {
+                    Ok(n) if n > 0 => {
+                        self.read_at = Some(env.now());
+                        StepOutcome::Exit(0)
+                    }
+                    _ => StepOutcome::Exit(1),
+                }
             }
             1 => {
                 self.phase = 2;
@@ -375,6 +387,9 @@ struct BackpressureWriter {
     wfd: Option<Fd>,
     tid: u64,
     wrote_at: Option<f64>,
+    /// The reader drains with `sys_read_nonblock` instead of a blocking
+    /// read.
+    nonblock_drain: bool,
 }
 impl Program for BackpressureWriter {
     fn resume(&mut self, env: &mut dyn Env, input: Resume) -> StepOutcome {
@@ -388,6 +403,7 @@ impl Program for BackpressureWriter {
                         rfd: r,
                         phase: 0,
                         read_at: None,
+                        nonblock: self.nonblock_drain,
                     })),
                 })
             }
@@ -450,6 +466,7 @@ fn blocked_writer_wakes_when_reader_drains() {
                     wfd: None,
                     tid: 0,
                     wrote_at: None,
+                    nonblock_drain: false,
                 }),
             )
             .unwrap();
@@ -463,6 +480,52 @@ fn blocked_writer_wakes_when_reader_drains() {
             "{engine:?}: write completed at {wrote}, after the drain at {read}"
         );
     }
+}
+
+/// Regression: a non-blocking read that drains a full pipe must wake the
+/// writer parked on it, exactly as a blocking read does. Without the
+/// `PipeDrained` wake the writer stays parked on the pipe forever and
+/// the process never exits, on either engine.
+#[test]
+fn nonblocking_drain_wakes_blocked_writer() {
+    let run = |engine| {
+        let mut m = Machine::new(
+            IpcOs::new(),
+            MachineConfig {
+                cores: 2,
+                engine,
+                ..MachineConfig::default()
+            },
+        );
+        let pid = m
+            .spawn(
+                &ImageSpec::hello_world(),
+                Box::new(BackpressureWriter {
+                    phase: 0,
+                    wfd: None,
+                    tid: 0,
+                    wrote_at: None,
+                    nonblock_drain: true,
+                }),
+            )
+            .unwrap();
+        m.run();
+        assert_eq!(m.exit_code(pid), Some(0), "{engine:?}: writer never woke");
+        let w = m.program::<BackpressureWriter>(pid).unwrap();
+        let r = m.thread_program::<DrainReader>(pid, 1).unwrap();
+        let (wrote, read) = (w.wrote_at.unwrap(), r.read_at.unwrap());
+        assert!(
+            wrote >= read,
+            "{engine:?}: write completed at {wrote}, before the drain at {read}"
+        );
+        (
+            wrote.to_bits(),
+            read.to_bits(),
+            m.now().to_bits(),
+            *m.counters(),
+        )
+    };
+    assert_eq!(run(SchedEngine::Lockstep), run(SchedEngine::EventDriven));
 }
 
 /// Closes the read end out from under a blocked writer.
